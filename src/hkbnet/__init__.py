@@ -46,7 +46,6 @@ from .dynamics import (
 )
 from .graph import (
     DegenerateNodeError,
-    EigenSolverError,
     GenerationError,
     SpectrumResult,
     Topology,
@@ -54,10 +53,10 @@ from .graph import (
     complete_graph,
     kron_lambda2,
     laplacian,
+    neighbor_lambda2,
     normalized_neighbor_laplacian,
     random_weighted_graph,
     spectrum,
-    symmetric_eigenvalues,
 )
 from .metrics import (
     ClusterPhase,
@@ -81,8 +80,6 @@ from .phase import (
     PhaseSeries,
     SignalTooShortError,
     analytic_signal,
-    fft,
-    ifft,
     instantaneous_phase,
     phases_from_trajectory,
     wrap_phase,

@@ -22,12 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import OscillatorParams
-from .graph import (
-    ZERO_EIGENVALUE_TOL,
-    Topology,
-    normalized_neighbor_laplacian,
-    spectrum,
-)
+from .graph import ZERO_EIGENVALUE_TOL, Topology, neighbor_lambda2
 
 
 class InvalidBoundError(ValueError):
@@ -177,8 +172,7 @@ def _diag2(values, name: str) -> np.ndarray:
 
 
 def _lambda2_of(topology: Topology) -> float:
-    ln = normalized_neighbor_laplacian(topology)
-    lam2 = spectrum(ln, symmetric_similarity_hint=topology.neighbor_counts).lambda2
+    lam2 = neighbor_lambda2(topology)
     if lam2 <= ZERO_EIGENVALUE_TOL:
         raise UndefinedBoundError("topology has no spectral gap (disconnected?)")
     return lam2

@@ -49,7 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         cmd = sub.add_parser(name, help=helptext)
         cmd.add_argument("config", help=f"preset ({', '.join(PRESET_NAMES)}) or config file path")
-        cmd.add_argument("--seed", type=int, default=None, help="override the master seed")
         cmd.add_argument("--out-dir", default=None, help="override the output directory")
         cmd.add_argument("--dt", type=float, default=None, help="override the integration step")
         cmd.add_argument("--duration", type=float, default=None, help="override the run duration")
@@ -58,8 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _apply_overrides(config, args):
     updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
     if args.out_dir is not None:
         updates["out_dir"] = args.out_dir
     if args.dt is not None:

@@ -11,6 +11,7 @@ a shared external sinusoid added to every acceleration.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
@@ -52,48 +53,88 @@ class OscillatorParams:
             raise ValueError("omega must be positive")
 
 
+def _strength():
+    """Field marker for a coupling strength: nonnegative, and zero switches the coupling off."""
+    return dataclasses.field(metadata={"strength": True})
+
+
+def strength_fields(protocol) -> tuple[str, ...]:
+    """Names of the protocol's coupling-strength fields."""
+    return tuple(f.name for f in dataclasses.fields(protocol) if f.metadata.get("strength"))
+
+
+class _Protocol:
+    """Base of the coupling protocols; rejects a negative coupling strength.
+
+    Each protocol's add_coupling(field, x, lap, weights, counts) adds its
+    interaction to the (n, 2) network field in place, given the states x,
+    the graph Laplacian, the weight matrix and the neighbor counts.  The
+    average mismatch is taken over the neighbor count, not the weighted
+    degree, so every protocol is diffusive: it adds nothing when all nodes
+    share one state.
+    """
+
+    def __post_init__(self):
+        for name in strength_fields(self):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"coupling strength {name} must be nonnegative")
+
+
 @dataclass(frozen=True)
-class NoCoupling:
+class NoCoupling(_Protocol):
     """Isolated nodes: every interaction term is zero."""
 
+    def add_coupling(self, field, x, lap, weights, counts) -> None:
+        pass
+
 
 @dataclass(frozen=True)
-class FullState:
+class FullState(_Protocol):
     """Diffusive coupling of strength c acting on position and velocity."""
 
-    c: float
+    c: float = _strength()
 
-    def __post_init__(self):
-        if self.c < 0.0:
-            raise ValueError("coupling strength must be nonnegative")
+    def add_coupling(self, field, x, lap, weights, counts) -> None:
+        field -= (self.c / counts)[:, None] * (lap @ x)
 
 
 @dataclass(frozen=True)
-class PartialState:
+class PartialState(_Protocol):
     """Acceleration-only coupling from position (c1) and velocity (c2) mismatch."""
 
-    c1: float
-    c2: float
+    c1: float = _strength()
+    c2: float = _strength()
 
-    def __post_init__(self):
-        if self.c1 < 0.0 or self.c2 < 0.0:
-            raise ValueError("coupling strengths must be nonnegative")
+    def add_coupling(self, field, x, lap, weights, counts) -> None:
+        field[:, 1] -= (self.c1 * (lap @ x[:, 0]) + self.c2 * (lap @ x[:, 1])) / counts
 
 
 @dataclass(frozen=True)
-class HkbCoupling:
+class HkbCoupling(_Protocol):
     """Nonlinear dyadic interaction [a + b * dpos^2] * dvel scaled by c."""
 
     a: float
     b: float
-    c: float
+    c: float = _strength()
 
-    def __post_init__(self):
-        if self.c < 0.0:
-            raise ValueError("coupling strength must be nonnegative")
+    def add_coupling(self, field, x, lap, weights, counts) -> None:
+        pos = x[:, 0]
+        vel = x[:, 1]
+        dp = pos[:, None] - pos[None, :]
+        dv = vel[:, None] - vel[None, :]
+        total = (weights * (self.a + self.b * dp * dp) * dv).sum(axis=1)
+        field[:, 1] += (self.c / counts) * total
 
 
 CouplingProtocol = Union[NoCoupling, FullState, PartialState, HkbCoupling]
+
+# The config file's [protocol] kind for each protocol class.
+PROTOCOL_KINDS: dict[str, type] = {
+    "none": NoCoupling,
+    "full_state": FullState,
+    "partial_state": PartialState,
+    "hkb": HkbCoupling,
+}
 
 
 @dataclass(frozen=True)
@@ -186,46 +227,25 @@ def hkb_field(state: Sequence[float], params: OscillatorParams) -> np.ndarray:
     return np.array([vel, acc])
 
 
+def _neighbor_counts(topology: Topology, protocol: CouplingProtocol) -> np.ndarray:
+    counts = topology.neighbor_counts.astype(float)
+    if not isinstance(protocol, NoCoupling) and np.any(counts == 0.0):
+        raise ValueError("coupled dynamics need every node to have a neighbor")
+    return counts
+
+
 def coupling_term(
     i: int,
     states: np.ndarray,
     topology: Topology,
     protocol: CouplingProtocol,
 ) -> np.ndarray:
-    """Interaction increment of node i under the given protocol.
-
-    Every protocol is diffusive: the increment vanishes whenever all
-    neighbors share node i's state.  The average mismatch is taken over the
-    neighbor count, not the weighted degree.
-    """
-    if isinstance(protocol, NoCoupling):
-        return np.zeros(2)
+    """Interaction increment of node i: row i of protocol.add_coupling."""
     x = np.asarray(states, dtype=float)
-    w = topology.weights[i]
-    count = int(np.count_nonzero(w > 0.0))
-    if count == 0:
-        raise ValueError(f"node {i} has no neighbors; coupled dynamics undefined")
-    xi = x[i]
-    if isinstance(protocol, FullState):
-        acc = np.zeros(2)
-        for j in np.flatnonzero(w > 0.0):
-            acc += w[j] * (xi - x[j])
-        return -(protocol.c / count) * acc
-    if isinstance(protocol, PartialState):
-        total = 0.0
-        for j in np.flatnonzero(w > 0.0):
-            total += w[j] * (
-                protocol.c1 * (xi[0] - x[j, 0]) + protocol.c2 * (xi[1] - x[j, 1])
-            )
-        return np.array([0.0, -total / count])
-    if isinstance(protocol, HkbCoupling):
-        total = 0.0
-        for j in np.flatnonzero(w > 0.0):
-            dpos = xi[0] - x[j, 0]
-            dvel = xi[1] - x[j, 1]
-            total += w[j] * (protocol.a + protocol.b * dpos * dpos) * dvel
-        return np.array([0.0, (protocol.c / count) * total])
-    raise TypeError(f"unknown coupling protocol: {protocol!r}")
+    field = np.zeros_like(x)
+    counts = _neighbor_counts(topology, protocol)
+    protocol.add_coupling(field, x, laplacian(topology), topology.weights, counts)
+    return field[i]
 
 
 def _vectorized_rhs(
@@ -242,34 +262,20 @@ def _vectorized_rhs(
     beta = np.array([p.beta for p in params])
     gamma = np.array([p.gamma for p in params])
     omega_sq = np.array([p.omega for p in params]) ** 2
-    counts = topology.neighbor_counts.astype(float)
-    coupled = not isinstance(protocol, NoCoupling)
-    if coupled and np.any(counts == 0.0):
-        raise ValueError("coupled dynamics need every node to have a neighbor")
+    counts = _neighbor_counts(topology, protocol)
     lap = laplacian(topology)
     weights = topology.weights
+    add_coupling = protocol.add_coupling
 
     def rhs(t: float, x: np.ndarray) -> np.ndarray:
         pos = x[:, 0]
         vel = x[:, 1]
-        dpos = vel.copy()
-        acc = -(alpha * pos * pos + beta * vel * vel - gamma) * vel - omega_sq * pos
-        if isinstance(protocol, FullState):
-            mismatch = lap @ x
-            dpos -= (protocol.c / counts) * mismatch[:, 0]
-            acc -= (protocol.c / counts) * mismatch[:, 1]
-        elif isinstance(protocol, PartialState):
-            acc -= (protocol.c1 * (lap @ pos) + protocol.c2 * (lap @ vel)) / counts
-        elif isinstance(protocol, HkbCoupling):
-            dp = pos[:, None] - pos[None, :]
-            dv = vel[:, None] - vel[None, :]
-            total = (weights * (protocol.a + protocol.b * dp * dp) * dv).sum(axis=1)
-            acc += (protocol.c / counts) * total
-        if entrainment.enabled:
-            acc += entrainment.signal(t)
         out = np.empty_like(x)
-        out[:, 0] = dpos
-        out[:, 1] = acc
+        out[:, 0] = vel
+        out[:, 1] = -(alpha * pos * pos + beta * vel * vel - gamma) * vel - omega_sq * pos
+        add_coupling(out, x, lap, weights, counts)
+        if entrainment.enabled:
+            out[:, 1] += entrainment.signal(t)
         return out
 
     return rhs

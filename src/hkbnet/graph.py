@@ -1,9 +1,8 @@
 """Simple undirected weighted graphs and the spectra used by the coupling bounds.
 
-All matrices in this package are tiny (a dozen nodes at most), so eigenvalues
-are computed with a cyclic Jacobi sweep instead of pulling in a linear-algebra
-backend.  The neighbor-normalized Laplacian is asymmetric; its spectrum is
-obtained through a diagonal similarity transform that restores symmetry.
+Eigenvalues come from numpy's symmetric solver.  The neighbor-normalized
+Laplacian is asymmetric; its spectrum is obtained through a diagonal
+similarity transform that restores symmetry.
 """
 
 from __future__ import annotations
@@ -31,14 +30,6 @@ class GenerationError(RuntimeError):
 
 class DegenerateNodeError(ValueError):
     """An operation required every node to have at least one neighbor."""
-
-
-class EigenSolverError(RuntimeError):
-    """The Jacobi iteration failed to converge."""
-
-    def __init__(self, message: str, sweeps: int):
-        super().__init__(message)
-        self.sweeps = sweeps
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,47 +167,6 @@ def normalized_neighbor_laplacian(topology: Topology) -> np.ndarray:
     return laplacian(topology) / counts[:, None]
 
 
-def symmetric_eigenvalues(matrix: np.ndarray, tol: float = 1e-14, max_sweeps: int = 60) -> np.ndarray:
-    """Eigenvalues of a real symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps rotate away every off-diagonal entry until the off-diagonal
-    Frobenius mass falls below tol relative to the matrix norm.  Raises
-    EigenSolverError with the sweep count if that never happens.
-    """
-    a = np.array(matrix, dtype=float)
-    n = a.shape[0]
-    if a.ndim != 2 or a.shape[1] != n:
-        raise ValueError("matrix must be square")
-    norm = np.sqrt((a * a).sum())
-    if norm == 0.0:
-        return np.zeros(n)
-    for sweep in range(1, max_sweeps + 1):
-        off_diag = a - np.diag(np.diag(a))
-        off = np.sqrt((off_diag * off_diag).sum())
-        if off <= tol * norm:
-            return np.sort(np.diag(a))
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                app, aqq = a[p, p], a[q, q]
-                tau = (aqq - app) / (2.0 * apq)
-                t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau)) if tau != 0.0 else 1.0
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                a[p, :] = a[:, p]
-                a[q, :] = a[:, q]
-                a[p, p] = c * c * app - 2.0 * s * c * apq + s * s * aqq
-                a[q, q] = s * s * app + 2.0 * s * c * apq + c * c * aqq
-                a[p, q] = a[q, p] = 0.0
-    raise EigenSolverError(f"Jacobi iteration did not converge in {max_sweeps} sweeps", sweeps=max_sweeps)
-
-
 def spectrum(matrix: np.ndarray, symmetric_similarity_hint: np.ndarray | None = None) -> SpectrumResult:
     """All eigenvalues of a real matrix known to have a real spectrum.
 
@@ -244,8 +194,14 @@ def spectrum(matrix: np.ndarray, symmetric_similarity_hint: np.ndarray | None = 
         if np.abs(sym - sym.T).max() > 1e-9 * scale:
             raise ValueError("similarity hint does not symmetrize the matrix")
         sym = 0.5 * (sym + sym.T)
-    eigs = symmetric_eigenvalues(sym)
+    eigs = np.linalg.eigvalsh(sym)
     return SpectrumResult(eigenvalues=eigs, lambda2=float(eigs[1]))
+
+
+def neighbor_lambda2(topology: Topology) -> float:
+    """lambda2 of the neighbor-normalized Laplacian, the spectral gap both certificates use."""
+    ln = normalized_neighbor_laplacian(topology)
+    return spectrum(ln, symmetric_similarity_hint=topology.neighbor_counts).lambda2
 
 
 def kron_lambda2(

@@ -1,11 +1,11 @@
 """Instantaneous phase extraction through the analytic signal.
 
 The analytic signal is built from a one-sided spectrum: mean-center the
-series, transform with a self-contained radix-2 FFT after zero-padding to
-the next power of two, keep the DC and Nyquist bins, double the positive
-frequencies, zero the negative ones, invert, and truncate back to the
-original length.  The real part of the result reproduces the centered
-input; the phase is the four-quadrant angle of the complex series.
+series, transform with numpy's FFT after zero-padding to the next power of
+two, keep the DC and Nyquist bins, double the positive frequencies, zero
+the negative ones, invert, and truncate back to the original length.  The
+real part of the result reproduces the centered input; the phase is the
+four-quadrant angle of the complex series.
 """
 
 from __future__ import annotations
@@ -28,42 +28,6 @@ def wrap_phase(theta):
     return np.pi - np.mod(np.pi - np.asarray(theta, dtype=float), 2.0 * np.pi)
 
 
-def _radix2(x: np.ndarray, sign: float) -> np.ndarray:
-    n = x.shape[0]
-    if n == 0 or n & (n - 1):
-        raise ValueError(f"transform length must be a power of two, got {n}")
-    if n == 1:
-        return x.copy()
-    levels = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.intp)
-    for _ in range(levels):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    a = x[rev]
-    size = 2
-    while size <= n:
-        half = size // 2
-        twiddle = np.exp(sign * 2j * np.pi * np.arange(half) / size)
-        blocks = a.reshape(-1, size)
-        even = blocks[:, :half]
-        odd = blocks[:, half:] * twiddle
-        a = np.concatenate((even + odd, even - odd), axis=1).reshape(-1)
-        size *= 2
-    return a
-
-
-def fft(x) -> np.ndarray:
-    """Radix-2 decimation-in-time DFT; the length must be a power of two."""
-    return _radix2(np.asarray(x, dtype=complex), -1.0)
-
-
-def ifft(x) -> np.ndarray:
-    """Inverse of fft (same power-of-two length restriction)."""
-    a = np.asarray(x, dtype=complex)
-    return _radix2(a, +1.0) / a.shape[0]
-
-
 def analytic_signal(samples) -> np.ndarray:
     """Complex series whose angle is the instantaneous phase of the input.
 
@@ -82,12 +46,12 @@ def analytic_signal(samples) -> np.ndarray:
     padded_len = 1 << (m - 1).bit_length()
     padded = np.zeros(padded_len)
     padded[:m] = centered
-    spec = fft(padded)
+    spec = np.fft.fft(padded)
     gain = np.zeros(padded_len)
     gain[0] = 1.0
     gain[padded_len // 2] = 1.0
     gain[1 : padded_len // 2] = 2.0
-    return ifft(spec * gain)[:m]
+    return np.fft.ifft(spec * gain)[:m]
 
 
 def instantaneous_phase(samples) -> np.ndarray:

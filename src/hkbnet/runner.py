@@ -32,7 +32,6 @@ rows on indented continuation lines):
     [simulation]
     duration = 200.0
     dt = 0.01
-    seed = 0
 
     [bounds]                 # optional Lyapunov-bound inputs
     quad = true
@@ -53,15 +52,14 @@ rows on indented continuation lines):
     directory = out
 
 All emitted CSVs are UTF-8 with LF line endings, one header row, and reals
-printed with 9 significant digits.  Identical config and seed reproduce
-byte-identical files.
+printed with 9 significant digits.  Runs are deterministic: an identical
+config reproduces byte-identical files.
 """
 
 from __future__ import annotations
 
 import configparser
 import dataclasses
-import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -71,7 +69,9 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import presets
 from .dynamics import (
+    PROTOCOL_KINDS,
     CouplingProtocol,
+    DivergenceError,
     Entrainment,
     FullState,
     HkbCoupling,
@@ -81,14 +81,9 @@ from .dynamics import (
     Trajectory,
     integrate,
     state_extrema,
+    strength_fields,
 )
-from .graph import (
-    Topology,
-    TopologyError,
-    complete_graph,
-    normalized_neighbor_laplacian,
-    spectrum,
-)
+from .graph import Topology, TopologyError, complete_graph, neighbor_lambda2
 from .metrics import SyncReport, compute_sync_report
 from .phase import PhaseSeries, phases_from_trajectory
 
@@ -139,7 +134,6 @@ class RunConfig:
     entrainment: Entrainment = Entrainment.off()
     duration: float = 200.0
     dt: float = 0.01
-    seed: int = 0
     out_dir: str = "out"
     sweep: SweepSpec | None = None
     bounds: BoundsOptions = BoundsOptions()
@@ -165,7 +159,6 @@ class SweepCell:
     value2: float | None
     report: SyncReport | None
     diverged: bool
-    seed: int
 
 
 # ---------------------------------------------------------------------------
@@ -285,24 +278,14 @@ def _read_parser(path: Path) -> configparser.ConfigParser:
 def _protocol_from(cfg) -> CouplingProtocol:
     kind = cfg.get("protocol", "kind", fallback="none").strip().lower()
     try:
-        if kind == "none":
-            return NoCoupling()
-        if kind == "full_state":
-            return FullState(c=_get_float(cfg, "protocol", "c"))
-        if kind == "partial_state":
-            return PartialState(
-                c1=_get_float(cfg, "protocol", "c1"),
-                c2=_get_float(cfg, "protocol", "c2"),
-            )
-        if kind == "hkb":
-            return HkbCoupling(
-                a=_get_float(cfg, "protocol", "a"),
-                b=_get_float(cfg, "protocol", "b"),
-                c=_get_float(cfg, "protocol", "c"),
-            )
+        cls = PROTOCOL_KINDS[kind]
+    except KeyError:
+        raise ConfigError(f"[protocol] unknown kind {kind!r}") from None
+    values = {f.name: _get_float(cfg, "protocol", f.name) for f in dataclasses.fields(cls)}
+    try:
+        return cls(**values)
     except ValueError as exc:
         raise ConfigError(f"[protocol] {exc}") from None
-    raise ConfigError(f"[protocol] unknown kind {kind!r}")
 
 
 def load_config(source: str | Path) -> RunConfig:
@@ -359,12 +342,16 @@ def load_config(source: str | Path) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"[entrainment] {exc}") from None
 
+    protocol = _protocol_from(cfg)
+    isolated = np.flatnonzero(topology.neighbor_counts == 0)
+    if isolated.size and not isinstance(protocol, NoCoupling):
+        raise ConfigError(
+            f"[network] node {isolated[0] + 1} has no neighbors, "
+            "but a coupled protocol needs every node to have one"
+        )
+
     duration = _get_float(cfg, "simulation", "duration", default=200.0)
     dt = _get_float(cfg, "simulation", "dt", default=0.01)
-    try:
-        seed = cfg.getint("simulation", "seed", fallback=0)
-    except ValueError:
-        raise ConfigError("[simulation] seed: not an integer") from None
 
     sweep_spec = None
     if cfg.has_section("sweep") and cfg.has_option("sweep", "field"):
@@ -401,11 +388,10 @@ def load_config(source: str | Path) -> RunConfig:
         topology=topology,
         params=params,
         initial_states=initial,
-        protocol=_protocol_from(cfg),
+        protocol=protocol,
         entrainment=entrainment,
         duration=duration,
         dt=dt,
-        seed=seed,
         out_dir=cfg.get("output", "directory", fallback="out"),
         sweep=sweep_spec,
         bounds=bounds_opts,
@@ -433,13 +419,12 @@ def validate_config(source: str | Path | RunConfig) -> list[str]:
     steps = cfg.duration / cfg.dt
     if abs(steps - round(steps)) > 1e-6:
         diagnostics.append(f"simulation: dt={cfg.dt} does not divide duration={cfg.duration}")
-    proto = cfg.protocol
-    if isinstance(proto, FullState) and proto.c == 0.0:
-        diagnostics.append("protocol: full_state strength c is zero (coupling inactive)")
-    if isinstance(proto, PartialState) and proto.c1 == 0.0 and proto.c2 == 0.0:
-        diagnostics.append("protocol: both partial_state strengths are zero (coupling inactive)")
-    if isinstance(proto, HkbCoupling) and proto.c == 0.0:
-        diagnostics.append("protocol: hkb strength c is zero (coupling inactive)")
+    strengths = strength_fields(cfg.protocol)
+    if strengths and all(getattr(cfg.protocol, name) == 0.0 for name in strengths):
+        diagnostics.append(
+            f"protocol: every {type(cfg.protocol).__name__} strength "
+            f"({', '.join(strengths)}) is zero (coupling inactive)"
+        )
     if cfg.entrainment.enabled and cfg.entrainment.amplitude == 0.0:
         diagnostics.append("entrainment: enabled with zero amplitude (no effect)")
     if cfg.bounds.quad:
@@ -516,9 +501,7 @@ def bounds_rows(config: RunConfig, traj: Trajectory | None = None) -> tuple[tupl
 
     connected = config.topology.is_connected()
     if connected:
-        ln = normalized_neighbor_laplacian(config.topology)
-        lam2 = spectrum(ln, symmetric_similarity_hint=config.topology.neighbor_counts).lambda2
-        rows.append(("lambda2", lam2))
+        rows.append(("lambda2", neighbor_lambda2(config.topology)))
 
     gammas = np.array([p.gamma for p in config.params])
     quad_ok = np.ptp(gammas) <= 1e-9 and connected
@@ -543,65 +526,72 @@ def bounds_rows(config: RunConfig, traj: Trajectory | None = None) -> tuple[tupl
     return tuple(rows)
 
 
-def _derive_seed(master: int, i: int, j: int) -> int:
-    digest = hashlib.sha256(f"{master}:{i}:{j}".encode()).digest()
-    return int.from_bytes(digest[:8], "big") >> 1
-
-
 def _with_field(config: RunConfig, field: str, value: float) -> RunConfig:
     """Return a copy of the config with one dotted scalar field replaced."""
     section, _, key = field.partition(".")
+
+    def replaced(obj, **changes):
+        try:
+            return dataclasses.replace(obj, **changes)
+        except ValueError as exc:
+            raise ConfigError(f"[sweep] {field} = {value!r}: {exc}") from None
+
     if section == "protocol":
         proto = config.protocol
-        if not hasattr(proto, key):
+        if key not in {f.name for f in dataclasses.fields(proto)}:
             raise ConfigError(f"sweep field {field!r} does not exist on {type(proto).__name__}")
-        return dataclasses.replace(config, protocol=dataclasses.replace(proto, **{key: value}))
+        return dataclasses.replace(config, protocol=replaced(proto, **{key: value}))
     if section == "entrainment":
         if key not in ("amplitude", "frequency"):
             raise ConfigError(f"sweep field {field!r} is not a scalar entrainment field")
-        ent = dataclasses.replace(config.entrainment, enabled=True, **{key: value})
+        ent = replaced(config.entrainment, enabled=True, **{key: value})
         return dataclasses.replace(config, entrainment=ent)
     if section == "simulation":
         if key not in ("duration", "dt"):
             raise ConfigError(f"sweep field {field!r} is not a scalar simulation field")
-        return dataclasses.replace(config, **{key: value})
+        swept = dataclasses.replace(config, **{key: value})
+        if not 0.0 < swept.dt <= swept.duration:
+            raise ConfigError(f"[sweep] {field} = {value!r}: need 0 < dt <= duration")
+        return swept
     raise ConfigError(f"sweep field {field!r} not supported")
 
 
 def run_sweep(config: RunConfig) -> list[SweepCell]:
     """Execute the sweep grid cell by cell (no I/O).
 
-    Cells are independent; each gets its own seed derived from the master
-    seed and grid position, and a diverging cell is recorded without
-    stopping the rest of the grid.
+    Every cell's config is built before any cell runs, so a swept value the
+    config rejects raises ConfigError up front.  Cells are independent: a
+    cell that diverges is recorded without stopping the rest of the grid,
+    and any other error propagates.
     """
     if config.sweep is None:
         raise ConfigError("configuration has no [sweep] section")
     spec = config.sweep
     grid2 = spec.values2 if spec.field2 else (None,)
-    cells: list[SweepCell] = []
-    for i, v1 in enumerate(spec.values):
-        for j, v2 in enumerate(grid2):
+    grid = []
+    for v1 in spec.values:
+        for v2 in grid2:
             cell_cfg = _with_field(config, spec.field, v1)
             if spec.field2 and v2 is not None:
                 cell_cfg = _with_field(cell_cfg, spec.field2, v2)
-            cell_seed = _derive_seed(config.seed, i, j)
-            cell_cfg = dataclasses.replace(cell_cfg, seed=cell_seed, sweep=None)
-            try:
-                traj = integrate(
-                    cell_cfg.params,
-                    cell_cfg.topology,
-                    cell_cfg.protocol,
-                    cell_cfg.initial_states,
-                    cell_cfg.duration,
-                    cell_cfg.dt,
-                    entrainment=cell_cfg.entrainment,
-                )
-            except Exception:
-                cells.append(SweepCell(v1, v2, report=None, diverged=True, seed=cell_seed))
-                continue
-            report = compute_sync_report(traj, entrainment=cell_cfg.entrainment)
-            cells.append(SweepCell(v1, v2, report=report, diverged=False, seed=cell_seed))
+            grid.append((v1, v2, cell_cfg))
+    cells: list[SweepCell] = []
+    for v1, v2, cell_cfg in grid:
+        try:
+            traj = integrate(
+                cell_cfg.params,
+                cell_cfg.topology,
+                cell_cfg.protocol,
+                cell_cfg.initial_states,
+                cell_cfg.duration,
+                cell_cfg.dt,
+                entrainment=cell_cfg.entrainment,
+            )
+        except DivergenceError:
+            cells.append(SweepCell(v1, v2, report=None, diverged=True))
+            continue
+        report = compute_sync_report(traj, entrainment=cell_cfg.entrainment)
+        cells.append(SweepCell(v1, v2, report=report, diverged=False))
     return cells
 
 

@@ -21,7 +21,7 @@ from hkbnet.dynamics import (
     network_rhs,
     state_extrema,
 )
-from hkbnet.graph import Topology, complete_graph
+from hkbnet.graph import Topology, complete_graph, random_weighted_graph
 from hkbnet.presets import ROCKING6_INITIAL, ROCKING6_PARAMS
 
 NODE1 = OscillatorParams(0.46, 1.16, 0.58, 0.31)
@@ -32,6 +32,41 @@ ALL_PROTOCOLS = [
     PartialState(0.15, 0.15),
     HkbCoupling(-1.0, -1.0, 0.15),
 ]
+
+
+def per_node_coupling(i, states, topology, protocol):
+    """Reference oracle: node i's interaction increment, summed neighbor by neighbor."""
+    if isinstance(protocol, NoCoupling):
+        return np.zeros(2)
+    x = np.asarray(states, dtype=float)
+    w = topology.weights[i]
+    neighbors = np.flatnonzero(w > 0.0)
+    xi = x[i]
+    if isinstance(protocol, FullState):
+        acc = np.zeros(2)
+        for j in neighbors:
+            acc += w[j] * (xi - x[j])
+        return -(protocol.c / neighbors.size) * acc
+    if isinstance(protocol, PartialState):
+        total = 0.0
+        for j in neighbors:
+            total += w[j] * (
+                protocol.c1 * (xi[0] - x[j, 0]) + protocol.c2 * (xi[1] - x[j, 1])
+            )
+        return np.array([0.0, -total / neighbors.size])
+    total = 0.0
+    for j in neighbors:
+        dpos = xi[0] - x[j, 0]
+        dvel = xi[1] - x[j, 1]
+        total += w[j] * (protocol.a + protocol.b * dpos * dpos) * dvel
+    return np.array([0.0, (protocol.c / neighbors.size) * total])
+
+
+def irregular_graph():
+    """Seeded random weighted graph whose nodes have different neighbor counts."""
+    top = random_weighted_graph(6, 0.5, 0.2, 2.0, seed=4)
+    assert np.unique(top.neighbor_counts).size > 1
+    return top
 
 
 class TestOscillatorParams:
@@ -114,18 +149,18 @@ class TestNetworkRhs:
     @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
     def test_matches_per_node_composition(self, protocol):
         rng = np.random.default_rng(11)
-        top = complete_graph(6, 1.0)
-        for _ in range(5):
-            states = rng.normal(size=(6, 2))
-            flat = network_rhs(0.0, states.reshape(-1), ROCKING6_PARAMS, top, protocol)
-            per_node = np.array(
-                [
-                    hkb_field(states[i], ROCKING6_PARAMS[i])
-                    + coupling_term(i, states, top, protocol)
-                    for i in range(6)
-                ]
-            )
-            assert np.abs(flat.reshape(6, 2) - per_node).max() < 1e-12
+        for top in (complete_graph(6, 1.0), irregular_graph()):
+            for _ in range(5):
+                states = rng.normal(size=(6, 2))
+                flat = network_rhs(0.0, states.reshape(-1), ROCKING6_PARAMS, top, protocol)
+                couplings = [per_node_coupling(i, states, top, protocol) for i in range(6)]
+                per_node = np.array(
+                    [hkb_field(states[i], ROCKING6_PARAMS[i]) + couplings[i] for i in range(6)]
+                )
+                assert np.abs(flat.reshape(6, 2) - per_node).max() < 1e-12
+                for i in range(6):
+                    row = coupling_term(i, states, top, protocol)
+                    assert np.abs(row - couplings[i]).max() < 1e-12
 
     def test_table_initial_conditions_full_state(self):
         top = complete_graph(6, 1.0)
@@ -135,7 +170,7 @@ class TestNetworkRhs:
         per_node = np.array(
             [
                 hkb_field(ROCKING6_INITIAL[i], ROCKING6_PARAMS[i])
-                + coupling_term(i, ROCKING6_INITIAL, top, FullState(0.15))
+                + per_node_coupling(i, ROCKING6_INITIAL, top, FullState(0.15))
                 for i in range(6)
             ]
         )

@@ -1,4 +1,4 @@
-"""Unit tests for the radix-2 transform and analytic-signal phase extraction."""
+"""Unit tests for analytic-signal phase extraction."""
 
 import numpy as np
 import pytest
@@ -10,42 +10,10 @@ from hkbnet.phase import (
     PhaseSeries,
     SignalTooShortError,
     analytic_signal,
-    fft,
-    ifft,
     instantaneous_phase,
     phases_from_trajectory,
     wrap_phase,
 )
-
-
-def direct_dft(x):
-    """O(n^2) reference transform."""
-    n = len(x)
-    k = np.arange(n)
-    return np.array([(x * np.exp(-2j * np.pi * k * m / n)).sum() for m in range(n)])
-
-
-class TestRadix2:
-    @pytest.mark.parametrize("n", [1, 2, 4, 8, 32, 128])
-    def test_matches_direct_dft(self, n):
-        rng = np.random.default_rng(n)
-        x = rng.normal(size=n) + 1j * rng.normal(size=n)
-        assert np.abs(fft(x) - direct_dft(x)).max() < 1e-9
-
-    def test_matches_numpy_large(self):
-        rng = np.random.default_rng(3)
-        x = rng.normal(size=4096)
-        assert np.abs(fft(x) - np.fft.fft(x)).max() < 1e-9
-
-    def test_roundtrip(self):
-        rng = np.random.default_rng(9)
-        x = rng.normal(size=256) + 1j * rng.normal(size=256)
-        assert np.abs(ifft(fft(x)) - x).max() < 1e-12
-
-    @pytest.mark.parametrize("n", [0, 3, 12, 100])
-    def test_rejects_non_power_of_two(self, n):
-        with pytest.raises(ValueError):
-            fft(np.zeros(n))
 
 
 class TestAnalyticSignal:

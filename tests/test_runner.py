@@ -1,6 +1,8 @@
 """Tests for config parsing, presets, artifact emission, and the CLI."""
 
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,7 +57,6 @@ c = 0.15
 [simulation]
 duration = 5
 dt = 0.01
-seed = 3
 
 [output]
 directory = out
@@ -99,7 +100,6 @@ class TestConfigParsing:
         assert cfg.topology.n == 2
         assert cfg.protocol == FullState(0.15)
         assert cfg.duration == 5.0
-        assert cfg.seed == 3
         assert cfg.params[0].alpha == 0.46
         assert tuple(cfg.initial_states[1]) == (-0.8, -0.1)
 
@@ -268,19 +268,6 @@ class TestSweep:
         assert len(cells) == 4
         assert all(c.report is not None and c.report.rho_e is not None for c in cells)
 
-    def test_cell_seeds_are_distinct_and_reproducible(self):
-        base = runner.preset_config("rocking6-fsc")
-        cfg = dataclasses.replace(
-            base,
-            duration=2.0,
-            sweep=runner.SweepSpec(field="protocol.c", values=(0.05, 0.1, 0.2)),
-        )
-        cells_a = runner.run_sweep(cfg)
-        cells_b = runner.run_sweep(cfg)
-        seeds = [c.seed for c in cells_a]
-        assert len(set(seeds)) == len(seeds)
-        assert seeds == [c.seed for c in cells_b]
-
     def test_divergent_cell_is_recorded_and_sweep_continues(self, tmp_path):
         path = tmp_path / "unstable.cfg"
         path.write_text(
@@ -298,11 +285,32 @@ class TestSweep:
         assert lines[1].split(",")[2] == ""  # empty metrics for diverged cell
 
     def test_unknown_sweep_field(self):
+        # only dataclass fields are sweepable, not other attributes of the protocol
+        for field in ("protocol.zeta", "protocol.__init__", "protocol.add_coupling"):
+            cfg = dataclasses.replace(
+                runner.preset_config("rocking6-fsc"),
+                sweep=runner.SweepSpec(field=field, values=(0.1,)),
+            )
+            with pytest.raises(runner.ConfigError):
+                runner.run_sweep(cfg)
+
+    def test_rejected_swept_value_exits_config(self, tmp_path, capsys):
+        path = tmp_path / "sweep.cfg"
+        path.write_text(GOOD_CONFIG + "\n[sweep]\nfield = protocol.c\nvalues = 0.1 -0.1\n")
+        assert cli.main(["sweep", str(path), "--out-dir", str(tmp_path)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "protocol.c" in err and "-0.1" in err
+
+    def test_non_divergence_error_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ZeroDivisionError("bug inside a cell")
+
+        monkeypatch.setattr(runner, "integrate", broken)
         cfg = dataclasses.replace(
             runner.preset_config("rocking6-fsc"),
-            sweep=runner.SweepSpec(field="protocol.zeta", values=(0.1,)),
+            sweep=runner.SweepSpec(field="protocol.c", values=(0.1,)),
         )
-        with pytest.raises(runner.ConfigError):
+        with pytest.raises(ZeroDivisionError):
             runner.run_sweep(cfg)
 
     def test_sweep_without_spec(self):
@@ -347,6 +355,19 @@ class TestCli:
         assert "lambda2" in out and "c_bar" in out
         assert (tmp_path / "bounds.csv").exists()
 
+    @pytest.mark.parametrize("verb", ["run", "bounds"])
+    def test_isolated_node_under_coupling_exits_config(self, verb, tmp_path, capsys):
+        path = tmp_path / "isolated.cfg"
+        path.write_text(
+            GOOD_CONFIG.replace("    0 1\n    1 0", "    0 1 0\n    1 0 0\n    0 0 0").replace(
+                "    0.25 0.86 0.56 0.62 -0.8 -0.1\n",
+                "    0.25 0.86 0.56 0.62 -0.8 -0.1\n    0.37 1.20 1.84 0.52 1.0 0.2\n",
+            )
+        )
+        assert cli.main([verb, str(path), "--out-dir", str(tmp_path)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "[network]" in err and "node 3" in err
+
     def test_sweep_verb(self, tmp_path, capsys):
         path = tmp_path / "sweep.cfg"
         path.write_text(
@@ -356,3 +377,31 @@ class TestCli:
         assert code == cli.EXIT_OK
         assert (tmp_path / "sweep.csv").exists()
         assert "2 cells" in capsys.readouterr().out
+
+
+REFERENCE_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "reference_run_presets.json"
+PRESET_FIXTURES = {
+    "rocking6-nc": "rocking6_nc",
+    "rocking6-fsc": "rocking6_fsc",
+    "rocking6-psc": "rocking6_psc",
+    "rocking6-hkb": "rocking6_hkb",
+    "validation5": "validation5_low",
+}
+
+
+class TestGoldenValues:
+    """The preset runs against the reference values the benchmark checks."""
+
+    @pytest.mark.parametrize("preset", sorted(PRESET_FIXTURES))
+    def test_report_and_bounds_match_reference(self, preset, request):
+        result = request.getfixturevalue(PRESET_FIXTURES[preset])
+        reference = json.loads(REFERENCE_PATH.read_text(encoding="utf-8"))[preset]["values"]
+        got = {
+            "sync_report": {f"{m}:{k}": float(v) for m, k, v in runner._report_rows(result.report)},
+            "bounds": {q: float(v) for q, v in result.bounds_rows},
+        }
+        for table, expected in reference.items():
+            for key, ref in expected.items():
+                assert key in got[table], f"{table} row {key!r} missing"
+                # the benchmark's tolerance, VALUE_RTOL in perfbench/workloads.py
+                assert abs(got[table][key] - ref) <= 1e-7 * max(1.0, abs(ref)), (table, key)
