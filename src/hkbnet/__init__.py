@@ -19,11 +19,9 @@ from .bounds import (
     UndefinedBoundError,
     contraction_window,
     m_bar,
-    quad_cbar,
     quad_cbar_direct,
     quad_cbar_minimized,
     quad_certificate,
-    quad_epsilon,
     quad_epsilon_direct,
     virtual_jacobian,
 )

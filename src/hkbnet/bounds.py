@@ -206,18 +206,6 @@ def quad_cbar_direct(
     return top / (lambda2 * float((pd * gd).min()))
 
 
-def quad_cbar(
-    topology: Topology,
-    gamma_avg: float,
-    p,
-    w11: float,
-    coupling_shape=(1.0, 1.0),
-    w22: float | None = None,
-) -> float:
-    """quad_cbar_direct with lambda2 computed from the topology."""
-    return quad_cbar_direct(_lambda2_of(topology), gamma_avg, p, w11, coupling_shape, w22)
-
-
 def quad_cbar_minimized(lambda2: float, gamma_avg: float, coupling_shape=(1.0, 1.0)) -> float:
     """Bound minimized over the shape matrices: gamma_avg / (lambda2 * min shape).
 
@@ -269,22 +257,6 @@ def quad_epsilon_direct(
             f"<= max(w)={top:.6g}"
         )
     return np.sqrt(n_nodes) * m_bound * float(pd.max()) / gap
-
-
-def quad_epsilon(
-    c: float,
-    topology: Topology,
-    gamma_avg: float,
-    p,
-    w11: float,
-    coupling_shape,
-    m_bound: float,
-    w22: float | None = None,
-) -> float:
-    """quad_epsilon_direct with lambda2 computed from the topology."""
-    return quad_epsilon_direct(
-        c, _lambda2_of(topology), gamma_avg, p, w11, coupling_shape, m_bound, topology.n, w22
-    )
 
 
 def quad_certificate(

@@ -93,7 +93,7 @@ def main(argv=None) -> int:
             return EXIT_OK
         if args.command == "sweep":
             cells = sweep(config)
-            diverged = sum(1 for c in cells if c.diverged)
+            diverged = sum(1 for c in cells if c.report is None)
             print(f"{config.label}: {len(cells)} cells, {diverged} diverged")
             print(f"wrote {Path(config.out_dir) / 'sweep.csv'}")
             return EXIT_OK

@@ -300,6 +300,20 @@ def network_rhs(
     return rhs(time, x.reshape(topology.n, 2)).reshape(-1)
 
 
+def step_count(duration: float, dt: float) -> int:
+    """Number of steps of size dt that span duration exactly.
+
+    Raises ValueError unless 0 < dt <= duration < inf and dt divides the
+    duration to within 1e-6 of a step.
+    """
+    if not (0.0 < dt <= duration and math.isfinite(duration)):
+        raise ValueError(f"need 0 < dt <= duration < inf, got dt={dt} and duration={duration}")
+    steps = duration / dt
+    if abs(steps - round(steps)) > 1e-6:
+        raise ValueError(f"dt={dt} does not divide duration={duration}")
+    return int(round(steps))
+
+
 def integrate(
     params: Sequence[OscillatorParams],
     topology: Topology,
@@ -311,21 +325,18 @@ def integrate(
 ) -> Trajectory:
     """Classical fixed-step 4th-order Runge-Kutta integration of the network.
 
-    Every step is stored, so the sampling interval of the returned
-    trajectory equals dt.  Deterministic: identical inputs yield identical
-    trajectories.  Raises DivergenceError (with the offending step index)
+    dt must divide the duration (see step_count).  Every step is stored, so
+    the sampling interval of the returned trajectory equals dt.
+    Deterministic: identical inputs yield identical trajectories.
+    Raises DivergenceError (with the offending step index)
     when the state stops being finite or exceeds STATE_MAGNITUDE_LIMIT.
     """
-    if duration <= 0.0:
-        raise ValueError("duration must be positive")
-    if not 0.0 < dt <= duration:
-        raise ValueError("dt must satisfy 0 < dt <= duration")
+    steps = step_count(duration, dt)
     ent = entrainment if entrainment is not None else Entrainment.off()
     n = topology.n
     x = np.array(x0, dtype=float).reshape(n, 2)
     if not np.all(np.isfinite(x)):
         raise ValueError("initial state must be finite")
-    steps = int(round(duration / dt))
     rhs = _vectorized_rhs(params, topology, protocol, ent)
     states = np.empty((steps + 1, n, 2))
     states[0] = x

@@ -30,11 +30,11 @@ rows on indented continuation lines):
     frequency = 0.5
 
     [simulation]
-    duration = 200.0
+    duration = 200.0         # dt must divide it, giving at least 4 samples
     dt = 0.01
 
     [bounds]                 # optional Lyapunov-bound inputs
-    quad = true
+    quad = true              # implied by the section when left out
     p11 = 0.077
     p22 = 0.077
     w11 = 0.001
@@ -50,6 +50,13 @@ rows on indented continuation lines):
 
     [output]
     directory = out
+
+Each section's defaults are those of the dataclass it builds.  Every
+RunConfig, however it is built (preset, file, CLI override or sweep cell),
+is checked on construction: 0 < dt <= duration, dt divides the duration,
+the grid holds at least 4 samples, and no node is isolated under a coupled
+protocol.  A violation raises ConfigError naming the section and field,
+which the CLI turns into exit status 2.
 
 All emitted CSVs are UTF-8 with LF line endings, one header row, and reals
 printed with 9 significant digits.  Runs are deterministic: an identical
@@ -81,6 +88,7 @@ from .dynamics import (
     Trajectory,
     integrate,
     state_extrema,
+    step_count,
     strength_fields,
 )
 from .graph import Topology, TopologyError, complete_graph, neighbor_lambda2
@@ -124,7 +132,12 @@ class BoundsOptions:
 
 @dataclass(frozen=True, eq=False)
 class RunConfig:
-    """Everything needed to reproduce one deterministic run."""
+    """Everything needed to reproduce one deterministic run.
+
+    __post_init__ checks the run contract in the module docstring, and
+    dataclasses.replace runs it too, so CLI overrides and sweep cells are
+    checked like presets and config files.
+    """
 
     label: str
     topology: Topology
@@ -137,6 +150,23 @@ class RunConfig:
     out_dir: str = "out"
     sweep: SweepSpec | None = None
     bounds: BoundsOptions = BoundsOptions()
+
+    def __post_init__(self):
+        try:
+            samples = step_count(self.duration, self.dt) + 1
+        except ValueError as exc:
+            raise ConfigError(f"[simulation] {exc}") from None
+        if samples < 4:
+            raise ConfigError(
+                f"[simulation] duration={self.duration} at dt={self.dt} gives {samples} samples, "
+                "but phase extraction needs at least 4"
+            )
+        isolated = np.flatnonzero(self.topology.neighbor_counts == 0)
+        if isolated.size and not isinstance(self.protocol, NoCoupling):
+            raise ConfigError(
+                f"[network] node {isolated[0] + 1} has no neighbors, "
+                "but a coupled protocol needs every node to have one"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,8 +187,7 @@ class SweepCell:
 
     value1: float
     value2: float | None
-    report: SyncReport | None
-    diverged: bool
+    report: SyncReport | None  # None when the cell diverged
 
 
 # ---------------------------------------------------------------------------
@@ -250,12 +279,6 @@ def _get_float(cfg, section, option, default=None):
         ) from None
 
 
-def _get_opt_float(cfg, section, option):
-    if not cfg.has_option(section, option) or cfg.get(section, option).strip() == "":
-        return None
-    return _get_float(cfg, section, option)
-
-
 def _parse_values(text: str, section: str, option: str) -> tuple[float, ...]:
     try:
         return tuple(float(tok) for tok in text.split())
@@ -275,17 +298,32 @@ def _read_parser(path: Path) -> configparser.ConfigParser:
     return cfg
 
 
-def _protocol_from(cfg) -> CouplingProtocol:
-    kind = cfg.get("protocol", "kind", fallback="none").strip().lower()
-    try:
-        cls = PROTOCOL_KINDS[kind]
-    except KeyError:
-        raise ConfigError(f"[protocol] unknown kind {kind!r}") from None
-    values = {f.name: _get_float(cfg, "protocol", f.name) for f in dataclasses.fields(cls)}
+def _section(cfg, name, cls, **defaults):
+    """Build the dataclass cls from section [name], one option per field.
+
+    An absent or blank option takes its value from defaults, else from the
+    field's own default (so a field defaulting to None is optional); a field
+    with neither is required.  bool fields are read with getboolean, every
+    other field as a float.
+    """
+    values = {}
+    for f in dataclasses.fields(cls):
+        raw = cfg.get(name, f.name, fallback="").strip()
+        if not raw:
+            values[f.name] = defaults.get(f.name, f.default)
+            if values[f.name] is dataclasses.MISSING:
+                raise ConfigError(f"[{name}] missing required field {f.name!r}")
+        elif f.type in (bool, "bool"):
+            try:
+                values[f.name] = cfg.getboolean(name, f.name)
+            except ValueError:
+                raise ConfigError(f"[{name}] {f.name}: not a boolean ({raw!r})") from None
+        else:
+            values[f.name] = _get_float(cfg, name, f.name)
     try:
         return cls(**values)
     except ValueError as exc:
-        raise ConfigError(f"[protocol] {exc}") from None
+        raise ConfigError(f"[{name}] {exc}") from None
 
 
 def load_config(source: str | Path) -> RunConfig:
@@ -331,27 +369,15 @@ def load_config(source: str | Path) -> RunConfig:
         raise ConfigError(f"[nodes] table: {exc}") from None
     initial = table[:, 4:6].copy()
 
-    entrainment = Entrainment.off()
-    if cfg.has_section("entrainment"):
-        try:
-            entrainment = Entrainment(
-                amplitude=_get_float(cfg, "entrainment", "amplitude", default=0.0),
-                frequency=_get_float(cfg, "entrainment", "frequency", default=1.0),
-                enabled=cfg.getboolean("entrainment", "enabled", fallback=False),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"[entrainment] {exc}") from None
-
-    protocol = _protocol_from(cfg)
-    isolated = np.flatnonzero(topology.neighbor_counts == 0)
-    if isolated.size and not isinstance(protocol, NoCoupling):
-        raise ConfigError(
-            f"[network] node {isolated[0] + 1} has no neighbors, "
-            "but a coupled protocol needs every node to have one"
-        )
-
-    duration = _get_float(cfg, "simulation", "duration", default=200.0)
-    dt = _get_float(cfg, "simulation", "dt", default=0.01)
+    kind = cfg.get("protocol", "kind", fallback="none").strip().lower()
+    if kind not in PROTOCOL_KINDS:
+        raise ConfigError(f"[protocol] unknown kind {kind!r}")
+    protocol = _section(cfg, "protocol", PROTOCOL_KINDS[kind])
+    entrainment = _section(cfg, "entrainment", Entrainment)
+    simulation = {
+        key: _get_float(cfg, "simulation", key, default=getattr(RunConfig, key))
+        for key in ("duration", "dt")
+    }
 
     sweep_spec = None
     if cfg.has_section("sweep") and cfg.has_option("sweep", "field"):
@@ -371,17 +397,8 @@ def load_config(source: str | Path) -> RunConfig:
 
     bounds_opts = BoundsOptions()
     if cfg.has_section("bounds"):
-        bounds_opts = BoundsOptions(
-            quad=cfg.getboolean("bounds", "quad", fallback=True),
-            p11=_get_float(cfg, "bounds", "p11", default=1.0),
-            p22=_get_float(cfg, "bounds", "p22", default=1.0),
-            w11=_get_float(cfg, "bounds", "w11", default=1e-6),
-            w22=_get_opt_float(cfg, "bounds", "w22"),
-            gamma1=_get_float(cfg, "bounds", "gamma1", default=1.0),
-            gamma2=_get_float(cfg, "bounds", "gamma2", default=1.0),
-            z1_max=_get_opt_float(cfg, "bounds", "z1_max"),
-            z2_max=_get_opt_float(cfg, "bounds", "z2_max"),
-        )
+        # a [bounds] section is a request for the certificate unless it says otherwise
+        bounds_opts = _section(cfg, "bounds", BoundsOptions, quad=True)
 
     return RunConfig(
         label=cfg.get("run", "label", fallback=path.stem),
@@ -390,11 +407,10 @@ def load_config(source: str | Path) -> RunConfig:
         initial_states=initial,
         protocol=protocol,
         entrainment=entrainment,
-        duration=duration,
-        dt=dt,
         out_dir=cfg.get("output", "directory", fallback="out"),
         sweep=sweep_spec,
         bounds=bounds_opts,
+        **simulation,
     )
 
 
@@ -416,9 +432,6 @@ def validate_config(source: str | Path | RunConfig) -> list[str]:
 
     if not cfg.topology.is_connected():
         diagnostics.append("network: topology is not connected")
-    steps = cfg.duration / cfg.dt
-    if abs(steps - round(steps)) > 1e-6:
-        diagnostics.append(f"simulation: dt={cfg.dt} does not divide duration={cfg.duration}")
     strengths = strength_fields(cfg.protocol)
     if strengths and all(getattr(cfg.protocol, name) == 0.0 for name in strengths):
         diagnostics.append(
@@ -549,10 +562,7 @@ def _with_field(config: RunConfig, field: str, value: float) -> RunConfig:
     if section == "simulation":
         if key not in ("duration", "dt"):
             raise ConfigError(f"sweep field {field!r} is not a scalar simulation field")
-        swept = dataclasses.replace(config, **{key: value})
-        if not 0.0 < swept.dt <= swept.duration:
-            raise ConfigError(f"[sweep] {field} = {value!r}: need 0 < dt <= duration")
-        return swept
+        return replaced(config, **{key: value})
     raise ConfigError(f"sweep field {field!r} not supported")
 
 
@@ -588,10 +598,10 @@ def run_sweep(config: RunConfig) -> list[SweepCell]:
                 entrainment=cell_cfg.entrainment,
             )
         except DivergenceError:
-            cells.append(SweepCell(v1, v2, report=None, diverged=True))
+            cells.append(SweepCell(v1, v2, report=None))
             continue
         report = compute_sync_report(traj, entrainment=cell_cfg.entrainment)
-        cells.append(SweepCell(v1, v2, report=report, diverged=False))
+        cells.append(SweepCell(v1, v2, report=report))
     return cells
 
 
@@ -640,7 +650,7 @@ def write_outputs(result: RunResult, out_dir: str | Path | None = None) -> RunRe
             base / "phases.csv",
             ("t", "node", "theta"),
             (
-                (phases.times[k], i + 1, phases.phases[k, i])
+                (traj.times[k], i + 1, phases.phases[k, i])
                 for k in range(phases.num_samples)
                 for i in range(n)
             ),
@@ -701,7 +711,7 @@ def sweep(config: RunConfig, out_dir: str | Path | None = None) -> list[SweepCel
                 cell.value2,
                 None if cell.report is None else cell.report.rho_g_mean,
                 None if cell.report is None else cell.report.rho_g_std,
-                None if cell.report is None or cell.report.rho_e is None else cell.report.rho_e,
+                None if cell.report is None else cell.report.rho_e,
             )
         )
     _write_csv(base / "sweep.csv", ("param1", "param2", "rho_g_mean", "rho_g_std", "rho_E"), rows)

@@ -10,7 +10,6 @@ from hkbnet.bounds import (
     UndefinedBoundError,
     contraction_window,
     m_bar,
-    quad_cbar,
     quad_cbar_direct,
     quad_cbar_minimized,
     quad_certificate,
@@ -157,16 +156,16 @@ class TestQuadCbar:
             assert scaled == pytest.approx(base)
 
     def test_topology_route_matches_direct(self):
-        top = complete_graph(6, 1.0)
-        via_top = quad_cbar(top, 0.58, (1.0, 1.0), 0.001)
-        assert via_top == pytest.approx(quad_cbar_direct(1.2, 0.58, (1.0, 1.0), 0.001))
+        # lambda2 of the neighbor-normalized K5 Laplacian is 5/4; gamma is 0.58 on every node
+        cert = quad_certificate(complete_graph(5, 1.0), VALIDATION5_PARAMS, p=(1.0, 1.0), w11=0.001)
+        assert cert.c_bar == pytest.approx(quad_cbar_direct(1.25, 0.58, (1.0, 1.0), 0.001))
 
     def test_disconnected_topology_raises(self):
         w = np.zeros((4, 4))
         w[0, 1] = w[1, 0] = 1.0
         w[2, 3] = w[3, 2] = 1.0
         with pytest.raises(UndefinedBoundError):
-            quad_cbar(Topology(w), 0.58, (1.0, 1.0), 0.001)
+            quad_certificate(Topology(w), VALIDATION5_PARAMS[:4], p=(1.0, 1.0), w11=0.001)
 
 
 class TestQuadEpsilon:

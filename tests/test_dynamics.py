@@ -20,6 +20,7 @@ from hkbnet.dynamics import (
     integrate,
     network_rhs,
     state_extrema,
+    step_count,
 )
 from hkbnet.graph import Topology, complete_graph, random_weighted_graph
 from hkbnet.presets import ROCKING6_INITIAL, ROCKING6_PARAMS
@@ -303,6 +304,15 @@ class TestIntegrate:
             integrate(ROCKING6_PARAMS[:2], top, NoCoupling(), np.zeros((2, 2)), 0.0, 0.01)
         with pytest.raises(ValueError):
             integrate(ROCKING6_PARAMS[:2], top, NoCoupling(), np.zeros((2, 2)), 1.0, 2.0)
+
+    def test_step_count(self):
+        assert step_count(200.0, 0.01) == 20000
+        assert step_count(1.0, 1.0) == 1
+        assert step_count(10.0, 0.025) == 400
+        for duration, dt in ((1.0, 0.03), (1.0, 0.3), (1.0, 0.0), (-1.0, 0.01), (1.0, 2.0),
+                             (float("inf"), 0.01), (1.0, float("nan"))):
+            with pytest.raises(ValueError):
+                step_count(duration, dt)
 
 
 class TestBoundedness:

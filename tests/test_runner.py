@@ -173,9 +173,14 @@ class TestValidateConfig:
         )
         assert any("inactive" in d for d in runner.validate_config(cfg))
 
-    def test_dt_must_divide_duration(self):
-        cfg = dataclasses.replace(runner.preset_config("rocking6-nc"), duration=1.0, dt=0.3)
-        assert any("divide" in d for d in runner.validate_config(cfg))
+    def test_dt_must_divide_duration(self, tmp_path):
+        with pytest.raises(runner.ConfigError, match=r"\[simulation\] dt=0.3 does not divide"):
+            dataclasses.replace(runner.preset_config("rocking6-nc"), duration=1.0, dt=0.3)
+        path = tmp_path / "grid.cfg"
+        path.write_text(GOOD_CONFIG.replace("dt = 0.01", "dt = 0.3"))
+        diagnostics = runner.validate_config(path)
+        assert len(diagnostics) == 1
+        assert diagnostics[0].startswith("parse: [simulation]") and "divide" in diagnostics[0]
 
 
 @pytest.fixture(scope="module")
@@ -280,7 +285,7 @@ class TestSweep:
         cfg = runner.load_config(path)
         cells = runner.sweep(cfg, out_dir=tmp_path)
         assert len(cells) == 2
-        assert all(c.diverged for c in cells)
+        assert all(c.report is None for c in cells)
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert lines[1].split(",")[2] == ""  # empty metrics for diverged cell
 
@@ -301,6 +306,14 @@ class TestSweep:
         err = capsys.readouterr().err
         assert "protocol.c" in err and "-0.1" in err
 
+    def test_swept_dt_must_divide_duration(self, tmp_path, capsys):
+        path = tmp_path / "sweep.cfg"
+        path.write_text(GOOD_CONFIG + "\n[sweep]\nfield = simulation.dt\nvalues = 0.01 0.03\n")
+        assert cli.main(["sweep", str(path), "--out-dir", str(tmp_path)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "simulation.dt = 0.03" in err and "divide" in err
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_non_divergence_error_propagates(self, monkeypatch):
         def broken(*args, **kwargs):
             raise ZeroDivisionError("bug inside a cell")
@@ -318,7 +331,32 @@ class TestSweep:
             runner.run_sweep(runner.preset_config("rocking6-fsc"))
 
 
+# Inputs that break the run contract: (CLI flags, (old, new) edit of the config
+# file or None, section the error must name).
+CONTRACT_INPUTS = [
+    pytest.param(["--duration", "-1"], None, "[simulation]", id="duration-negative"),
+    pytest.param(["--duration", "0.02"], None, "[simulation]", id="three-samples"),
+    pytest.param(["--dt", "0"], None, "[simulation]", id="dt-zero"),
+    pytest.param(["--dt", "5", "--duration", "1"], None, "[simulation]", id="dt-above-duration"),
+    pytest.param(["--dt", "0.03", "--duration", "1"], None, "[simulation]", id="dt-not-dividing"),
+    pytest.param([], ("duration = 5", "duration = -5"), "[simulation]", id="file-duration-negative"),
+    pytest.param([], ("[output]", "[bounds]\nquad = maybe\n\n[output]"), "[bounds]", id="file-quad-maybe"),
+]
+
+
 class TestCli:
+    @pytest.mark.parametrize("verb", ["run", "sweep", "bounds", "validate"])
+    @pytest.mark.parametrize("flags, edit, section", CONTRACT_INPUTS)
+    def test_run_contract_exits_config(self, verb, flags, edit, section, tmp_path, capsys):
+        # the file has a [sweep] section, so the sweep verb can only fail on the input
+        text = GOOD_CONFIG + "\n[sweep]\nfield = protocol.c\nvalues = 0.1 0.2\n"
+        path = tmp_path / "contract.cfg"
+        path.write_text(text.replace(*edit) if edit else text)
+        out = tmp_path / "out"
+        assert cli.main([verb, str(path), "--out-dir", str(out), *flags]) == cli.EXIT_CONFIG
+        assert section in capsys.readouterr().err
+        assert not out.exists()
+
     def test_validate_exit_ok(self, capsys):
         assert cli.main(["validate", "rocking6-fsc"]) == cli.EXIT_OK
         assert "0 diagnostic" in capsys.readouterr().out
