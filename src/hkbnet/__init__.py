@@ -36,10 +36,8 @@ from .dynamics import (
     PartialState,
     StateExtrema,
     Trajectory,
-    coupling_term,
-    hkb_field,
     integrate,
-    network_rhs,
+    network_field,
     state_extrema,
 )
 from .graph import (
@@ -49,7 +47,6 @@ from .graph import (
     Topology,
     TopologyError,
     complete_graph,
-    kron_lambda2,
     laplacian,
     neighbor_lambda2,
     normalized_neighbor_laplacian,
@@ -57,17 +54,13 @@ from .graph import (
     spectrum,
 )
 from .metrics import (
-    ClusterPhase,
     EntrainmentUndefinedError,
-    InvalidPairError,
     RelativePhase,
     SyncReport,
     agent_relative_phase,
     agent_sync_degree,
-    cluster_phase,
     compute_sync_report,
     dyadic_matrix,
-    dyadic_sync,
     entrainment_index,
     group_sync_series,
     group_sync_summary,

@@ -6,9 +6,8 @@
     hkbnet validate <config>  print configuration diagnostics
 
 <config> is a preset name (rocking6-nc, rocking6-fsc, rocking6-psc,
-rocking6-hkb, rocking6, validation5) or a path to a config file.  Exit
-status: 0 success, 2 invalid configuration, 3 divergence during
-integration.
+rocking6-hkb, validation5) or a path to a config file.  Exit status: 0
+success, 2 invalid configuration, 3 divergence during integration.
 """
 
 from __future__ import annotations

@@ -47,10 +47,13 @@ class OscillatorParams:
     omega: float
 
     def __post_init__(self):
-        if self.alpha < 0.0 or self.beta < 0.0:
+        # written as "not >=" so that nan fails too
+        if not (self.alpha >= 0.0 and self.beta >= 0.0):
             raise ValueError("alpha and beta must be nonnegative")
-        if self.omega <= 0.0:
-            raise ValueError("omega must be positive")
+        if not math.isfinite(self.gamma):
+            raise ValueError("gamma must be finite")
+        if not 0.0 < self.omega < math.inf:
+            raise ValueError("omega must be positive and finite")
 
 
 def _strength():
@@ -76,8 +79,8 @@ class _Protocol:
 
     def __post_init__(self):
         for name in strength_fields(self):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"coupling strength {name} must be nonnegative")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"coupling strength {name} must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -146,14 +149,10 @@ class Entrainment:
     enabled: bool = False
 
     def __post_init__(self):
-        if self.amplitude < 0.0:
-            raise ValueError("amplitude must be nonnegative")
-        if self.frequency <= 0.0:
-            raise ValueError("frequency must be positive")
-
-    @classmethod
-    def off(cls) -> "Entrainment":
-        return cls()
+        if not 0.0 <= self.amplitude < math.inf:
+            raise ValueError("amplitude must be nonnegative and finite")
+        if not 0.0 < self.frequency < math.inf:
+            raise ValueError("frequency must be positive and finite")
 
     def signal(self, t: float) -> float:
         if not self.enabled:
@@ -208,53 +207,25 @@ class Trajectory:
         return self.states[:, :, 1]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class StateExtrema:
-    """Per-node suprema of |pos| and |vel| over the samples, plus network maxima."""
+    """Suprema of |pos| and |vel| over every sample and node."""
 
-    pos_max_per_node: np.ndarray
-    vel_max_per_node: np.ndarray
     pos_max: float
     vel_max: float
 
 
-def hkb_field(state: Sequence[float], params: OscillatorParams) -> np.ndarray:
-    """Uncoupled node field (vel, -(alpha pos^2 + beta vel^2 - gamma) vel - omega^2 pos)."""
-    pos = float(state[0])
-    vel = float(state[1])
-    acc = -(params.alpha * pos * pos + params.beta * vel * vel - params.gamma) * vel
-    acc -= params.omega * params.omega * pos
-    return np.array([vel, acc])
-
-
-def _neighbor_counts(topology: Topology, protocol: CouplingProtocol) -> np.ndarray:
-    counts = topology.neighbor_counts.astype(float)
-    if not isinstance(protocol, NoCoupling) and np.any(counts == 0.0):
-        raise ValueError("coupled dynamics need every node to have a neighbor")
-    return counts
-
-
-def coupling_term(
-    i: int,
-    states: np.ndarray,
-    topology: Topology,
-    protocol: CouplingProtocol,
-) -> np.ndarray:
-    """Interaction increment of node i: row i of protocol.add_coupling."""
-    x = np.asarray(states, dtype=float)
-    field = np.zeros_like(x)
-    counts = _neighbor_counts(topology, protocol)
-    protocol.add_coupling(field, x, laplacian(topology), topology.weights, counts)
-    return field[i]
-
-
-def _vectorized_rhs(
+def network_field(
     params: Sequence[OscillatorParams],
     topology: Topology,
     protocol: CouplingProtocol,
     entrainment: Entrainment,
 ) -> Callable[[float, np.ndarray], np.ndarray]:
-    """Build the (n, 2) -> (n, 2) network field used by the integrator."""
+    """Build the network field rhs(t, x) on (n, 2) states, the one the integrator steps.
+
+    Row i of rhs(t, x) is node i's uncoupled HKB field plus its coupling and
+    the entrainment signal on the acceleration.
+    """
     n = topology.n
     if len(params) != n:
         raise ValueError(f"got {len(params)} parameter sets for {n} nodes")
@@ -262,7 +233,9 @@ def _vectorized_rhs(
     beta = np.array([p.beta for p in params])
     gamma = np.array([p.gamma for p in params])
     omega_sq = np.array([p.omega for p in params]) ** 2
-    counts = _neighbor_counts(topology, protocol)
+    counts = topology.neighbor_counts.astype(float)
+    if not isinstance(protocol, NoCoupling) and np.any(counts == 0.0):
+        raise ValueError("coupled dynamics need every node to have a neighbor")
     lap = laplacian(topology)
     weights = topology.weights
     add_coupling = protocol.add_coupling
@@ -281,25 +254,6 @@ def _vectorized_rhs(
     return rhs
 
 
-def network_rhs(
-    time: float,
-    flat_state: Sequence[float],
-    params: Sequence[OscillatorParams],
-    topology: Topology,
-    protocol: CouplingProtocol,
-    entrainment: Entrainment | None = None,
-) -> np.ndarray:
-    """Full network field on the stacked state [pos_1, vel_1, ..., pos_n, vel_n]."""
-    ent = entrainment if entrainment is not None else Entrainment.off()
-    x = np.asarray(flat_state, dtype=float)
-    if x.shape != (2 * topology.n,):
-        raise ValueError(f"flat state must hold {2 * topology.n} reals")
-    if not np.all(np.isfinite(x)):
-        raise DivergenceError("non-finite state passed to network field")
-    rhs = _vectorized_rhs(params, topology, protocol, ent)
-    return rhs(time, x.reshape(topology.n, 2)).reshape(-1)
-
-
 def step_count(duration: float, dt: float) -> int:
     """Number of steps of size dt that span duration exactly.
 
@@ -309,6 +263,8 @@ def step_count(duration: float, dt: float) -> int:
     if not (0.0 < dt <= duration and math.isfinite(duration)):
         raise ValueError(f"need 0 < dt <= duration < inf, got dt={dt} and duration={duration}")
     steps = duration / dt
+    if not math.isfinite(steps):
+        raise ValueError(f"dt={dt} is too small for duration={duration}")
     if abs(steps - round(steps)) > 1e-6:
         raise ValueError(f"dt={dt} does not divide duration={duration}")
     return int(round(steps))
@@ -332,12 +288,12 @@ def integrate(
     when the state stops being finite or exceeds STATE_MAGNITUDE_LIMIT.
     """
     steps = step_count(duration, dt)
-    ent = entrainment if entrainment is not None else Entrainment.off()
+    ent = entrainment if entrainment is not None else Entrainment()
     n = topology.n
     x = np.array(x0, dtype=float).reshape(n, 2)
     if not np.all(np.isfinite(x)):
         raise ValueError("initial state must be finite")
-    rhs = _vectorized_rhs(params, topology, protocol, ent)
+    rhs = network_field(params, topology, protocol, ent)
     states = np.empty((steps + 1, n, 2))
     states[0] = x
     half = 0.5 * dt
@@ -356,12 +312,8 @@ def integrate(
 
 
 def state_extrema(traj: Trajectory) -> StateExtrema:
-    """Suprema of |pos| and |vel| per node over the samples, then over nodes."""
-    pos_max = np.abs(traj.states[:, :, 0]).max(axis=0)
-    vel_max = np.abs(traj.states[:, :, 1]).max(axis=0)
+    """Suprema of |pos| and |vel| over every sample and node."""
     return StateExtrema(
-        pos_max_per_node=pos_max,
-        vel_max_per_node=vel_max,
-        pos_max=float(pos_max.max()),
-        vel_max=float(vel_max.max()),
+        pos_max=float(np.abs(traj.states[:, :, 0]).max()),
+        vel_max=float(np.abs(traj.states[:, :, 1]).max()),
     )

@@ -203,35 +203,3 @@ def neighbor_lambda2(topology: Topology) -> float:
     ln = normalized_neighbor_laplacian(topology)
     return spectrum(ln, symmetric_similarity_hint=topology.neighbor_counts).lambda2
 
-
-def kron_lambda2(
-    normalized_lap: np.ndarray,
-    diag2: np.ndarray,
-    similarity_hint: np.ndarray | None = None,
-    exclude_kernel_copies: bool = True,
-) -> float:
-    """Second-smallest eigenvalue of normalized_lap Kronecker a 2x2 diagonal.
-
-    The eigenvalues of the product are all pairwise products lambda_i * d_j,
-    so no Kronecker matrix is ever formed.  The kernel of a connected
-    Laplacian is duplicated by the diagonal factor; with
-    exclude_kernel_copies (the default) those copies collapse to a single
-    zero, which turns the result into lambda2 * min_j d_j.  With the switch
-    off the literal second-smallest of the full 2n multiset is returned.
-    """
-    d = np.asarray(diag2, dtype=float)
-    if d.ndim == 2:
-        if d.shape != (2, 2) or np.any(d != np.diag(np.diag(d))):
-            raise ValueError("diag2 must be diagonal 2x2")
-        d = np.diag(d)
-    if d.shape != (2,) or np.any(d < 0.0):
-        raise ValueError("diag2 must hold two nonnegative entries")
-    lam = spectrum(normalized_lap, symmetric_similarity_hint=similarity_hint).eigenvalues
-    if exclude_kernel_copies:
-        kernel = lam[np.abs(lam) <= ZERO_EIGENVALUE_TOL]
-        rest = lam[np.abs(lam) > ZERO_EIGENVALUE_TOL]
-        products = np.concatenate([np.zeros(kernel.size), np.multiply.outer(rest, d).ravel()])
-    else:
-        products = np.multiply.outer(lam, d).ravel()
-    products.sort()
-    return float(products[1])

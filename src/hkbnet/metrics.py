@@ -7,7 +7,6 @@ normalization.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,25 +18,8 @@ from .phase import PhaseSeries, phases_from_trajectory, wrap_phase
 INDETERMINATE_ORDER_TOL = 1e-12
 
 
-class InvalidPairError(ValueError):
-    """Dyadic synchronization needs two distinct nodes."""
-
-
 class EntrainmentUndefinedError(ValueError):
     """Entrainment index requested for a run without an entrainment signal."""
-
-
-@dataclass(frozen=True)
-class ClusterPhase:
-    """Mean unit phasor over agents at one sample, with its angle.
-
-    When the phasors cancel almost exactly the angle is meaningless; the
-    sample is flagged indeterminate and the angle reported as 0.
-    """
-
-    order: complex
-    angle: float
-    indeterminate: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,31 +51,18 @@ class SyncReport:
     indeterminate_samples: int = 0
 
 
-def cluster_phase(phases_at_t) -> ClusterPhase:
-    """Kuramoto order parameter of one phase snapshot."""
-    ph = np.asarray(phases_at_t, dtype=float)
-    if ph.ndim != 1 or ph.size < 1:
-        raise ValueError("need a one-dimensional snapshot of at least one phase")
-    order = complex(np.exp(1j * ph).mean())
-    if abs(order) < INDETERMINATE_ORDER_TOL:
-        return ClusterPhase(order=order, angle=0.0, indeterminate=True)
-    return ClusterPhase(order=order, angle=math.atan2(order.imag, order.real), indeterminate=False)
-
-
-def _cluster_phase_series(phases: np.ndarray):
-    order = np.exp(1j * phases).mean(axis=1)
-    indeterminate = np.abs(order) < INDETERMINATE_ORDER_TOL
-    angles = np.where(indeterminate, 0.0, np.angle(order))
-    return order, angles, indeterminate
-
-
 def agent_relative_phase(phases: PhaseSeries) -> RelativePhase:
     """Phase of each node relative to the group, averaged as a unit phasor.
 
-    Samples whose cluster phase is indeterminate are excluded from the
-    phasor average and counted in the result.
+    The group (cluster) phase at a sample is the angle of the mean unit
+    phasor over the nodes.  When the phasors cancel almost exactly that
+    angle is meaningless: the sample is indeterminate, its group angle is
+    taken as 0, and it is excluded from the phasor average and counted in
+    the result.
     """
-    _, group_angle, indeterminate = _cluster_phase_series(phases.phases)
+    order = np.exp(1j * phases.phases).mean(axis=1)
+    indeterminate = np.abs(order) < INDETERMINATE_ORDER_TOL
+    group_angle = np.where(indeterminate, 0.0, np.angle(order))
     rel = wrap_phase(phases.phases - group_angle[:, None])
     valid = ~indeterminate
     if not valid.any():
@@ -128,22 +97,16 @@ def group_sync_summary(series) -> tuple[float, float]:
     return mean, std
 
 
-def dyadic_sync(phases: PhaseSeries, k: int, k_prime: int) -> float:
-    """Pairwise phase-locking strength between two nodes, in [0, 1]."""
-    if k == k_prime:
-        raise InvalidPairError(f"dyadic synchronization needs two distinct nodes, got {k} twice")
-    diff = phases.phases[:, k] - phases.phases[:, k_prime]
-    return float(np.abs(np.exp(1j * diff).mean()))
-
-
 def dyadic_matrix(phases: PhaseSeries) -> np.ndarray:
-    """Symmetric matrix of all pairwise locking strengths (diagonal fixed at 1)."""
-    n = phases.n_nodes
-    out = np.eye(n)
-    for k in range(n - 1):
-        for kp in range(k + 1, n):
-            out[k, kp] = out[kp, k] = dyadic_sync(phases, k, kp)
-    return out
+    """Pairwise phase-locking strengths rho_d in [0, 1] (diagonal fixed at 1).
+
+    Entry (k, k') is |mean over samples of exp(i (theta_k - theta_k'))|.  The
+    upper triangle is mirrored, since the product's rounding need not be
+    symmetric.
+    """
+    z = np.exp(1j * phases.phases)
+    upper = np.triu(np.abs(z.conj().T @ z), 1) / phases.num_samples
+    return upper + upper.T + np.eye(phases.n_nodes)
 
 
 def entrainment_index(phases: PhaseSeries, entrainment: Entrainment) -> tuple[np.ndarray, float]:

@@ -51,12 +51,13 @@ rows on indented continuation lines):
     [output]
     directory = out
 
-Each section's defaults are those of the dataclass it builds.  Every
-RunConfig, however it is built (preset, file, CLI override or sweep cell),
-is checked on construction: 0 < dt <= duration, dt divides the duration,
-the grid holds at least 4 samples, and no node is isolated under a coupled
-protocol.  A violation raises ConfigError naming the section and field,
-which the CLI turns into exit status 2.
+Each section's defaults are those of the dataclass it builds, and every
+number must be finite.  Every RunConfig, however it is built (preset,
+file, CLI override or sweep cell), is checked on construction: 0 < dt <=
+duration, dt divides the duration, the grid holds at least 4 samples, and
+no node is isolated under a coupled protocol.  A violation raises
+ConfigError naming the section and field, which the CLI turns into exit
+status 2.
 
 All emitted CSVs are UTF-8 with LF line endings, one header row, and reals
 printed with 9 significant digits.  Runs are deterministic: an identical
@@ -67,6 +68,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -129,6 +131,12 @@ class BoundsOptions:
     z1_max: float | None = None
     z2_max: float | None = None
 
+    def __post_init__(self):
+        for name in ("p11", "p22", "w11", "gamma1", "gamma2", "z1_max", "z2_max"):
+            value = getattr(self, name)
+            if value is not None and not value > 0.0:
+                raise ValueError(f"{name} must be positive, got {value}")
+
 
 @dataclass(frozen=True, eq=False)
 class RunConfig:
@@ -144,7 +152,7 @@ class RunConfig:
     params: tuple[OscillatorParams, ...]
     initial_states: np.ndarray
     protocol: CouplingProtocol
-    entrainment: Entrainment = Entrainment.off()
+    entrainment: Entrainment = Entrainment()
     duration: float = 200.0
     dt: float = 0.01
     out_dir: str = "out"
@@ -195,7 +203,7 @@ class SweepCell:
 # ---------------------------------------------------------------------------
 
 
-def _rocking6(label: str, protocol: CouplingProtocol, entrainment: Entrainment = Entrainment.off()) -> RunConfig:
+def _rocking6(label: str, protocol: CouplingProtocol, entrainment: Entrainment = Entrainment()) -> RunConfig:
     return RunConfig(
         label=label,
         topology=presets.rocking6_topology(),
@@ -228,7 +236,6 @@ PRESET_BUILDERS = {
     "rocking6-fsc": lambda: _rocking6("rocking6-fsc", FullState(0.15)),
     "rocking6-psc": lambda: _rocking6("rocking6-psc", PartialState(0.15, 0.15)),
     "rocking6-hkb": lambda: _rocking6("rocking6-hkb", HkbCoupling(-1.0, -1.0, 0.15)),
-    "rocking6": lambda: _rocking6("rocking6", FullState(0.15)),
     "validation5": _validation5,
 }
 
@@ -254,10 +261,7 @@ def _parse_matrix(text: str, section: str, option: str) -> np.ndarray:
     for lineno, line in enumerate(text.strip().splitlines(), start=1):
         if not line.strip():
             continue
-        try:
-            rows.append([float(tok) for tok in line.split()])
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {option}, row {lineno}: {exc}") from None
+        rows.append(_parse_values(line, section, f"{option}, row {lineno}"))
     if not rows:
         raise ConfigError(f"[{section}] {option}: no rows given")
     width = len(rows[0])
@@ -266,28 +270,31 @@ def _parse_matrix(text: str, section: str, option: str) -> np.ndarray:
     return np.array(rows)
 
 
-def _get_float(cfg, section, option, default=None):
-    if not cfg.has_option(section, option) or cfg.get(section, option).strip() == "":
-        if default is None:
-            raise ConfigError(f"[{section}] missing required field {option!r}")
-        return default
+def _finite_float(text: str, section: str, option: str) -> float:
     try:
-        return cfg.getfloat(section, option)
+        value = float(text)
     except ValueError:
-        raise ConfigError(
-            f"[{section}] {option}: not a number ({cfg.get(section, option)!r})"
-        ) from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigError(f"[{section}] {option}: not a finite number ({text!r})")
+    return value
 
 
 def _parse_values(text: str, section: str, option: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(tok) for tok in text.split())
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {option}: {exc}") from None
+    return tuple(_finite_float(tok, section, option) for tok in text.split())
+
+
+def _get_float(cfg, section, option, default=None):
+    raw = cfg.get(section, option, fallback="").strip()
+    if not raw:
+        if default is None:
+            raise ConfigError(f"[{section}] missing required field {option!r}")
+        return default
+    return _finite_float(raw, section, option)
 
 
 def _read_parser(path: Path) -> configparser.ConfigParser:
-    cfg = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    cfg = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     try:
         with open(path, "r", encoding="utf-8") as handle:
             cfg.read_file(handle)
@@ -352,7 +359,10 @@ def load_config(source: str | Path) -> RunConfig:
             n = cfg.getint("network", "nodes")
         except (ValueError, configparser.NoOptionError):
             raise ConfigError("[network] preset=complete needs an integer 'nodes'") from None
-        topology = complete_graph(n, _get_float(cfg, "network", "weight", default=1.0))
+        try:
+            topology = complete_graph(n, _get_float(cfg, "network", "weight", default=1.0))
+        except TopologyError as exc:
+            raise ConfigError(f"[network] {exc}") from None
     else:
         raise ConfigError("[network] needs either 'weights' or 'preset = complete'")
 
@@ -455,9 +465,8 @@ def validate_config(source: str | Path | RunConfig) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def simulate(config: RunConfig) -> RunResult:
-    """Integrate, extract phases, and compute the full metric suite (no I/O)."""
-    traj = integrate(
+def _integrate(config: RunConfig) -> Trajectory:
+    return integrate(
         config.params,
         config.topology,
         config.protocol,
@@ -466,6 +475,11 @@ def simulate(config: RunConfig) -> RunResult:
         config.dt,
         entrainment=config.entrainment,
     )
+
+
+def simulate(config: RunConfig) -> RunResult:
+    """Integrate, extract phases, and compute the full metric suite (no I/O)."""
+    traj = _integrate(config)
     phases = phases_from_trajectory(traj)
     report = compute_sync_report(traj, entrainment=config.entrainment, phases=phases)
     rows = bounds_rows(config, traj)
@@ -481,15 +495,7 @@ def bounds_rows(config: RunConfig, traj: Trajectory | None = None) -> tuple[tupl
     extrema of the supplied pilot trajectory.
     """
     if traj is None:
-        traj = integrate(
-            config.params,
-            config.topology,
-            config.protocol,
-            config.initial_states,
-            config.duration,
-            config.dt,
-            entrainment=config.entrainment,
-        )
+        traj = _integrate(config)
     extrema = state_extrema(traj)
     z1 = config.bounds.z1_max if config.bounds.z1_max is not None else extrema.pos_max
     z2 = config.bounds.z2_max if config.bounds.z2_max is not None else extrema.vel_max
@@ -552,18 +558,18 @@ def _with_field(config: RunConfig, field: str, value: float) -> RunConfig:
     if section == "protocol":
         proto = config.protocol
         if key not in {f.name for f in dataclasses.fields(proto)}:
-            raise ConfigError(f"sweep field {field!r} does not exist on {type(proto).__name__}")
+            raise ConfigError(f"[sweep] field {field!r} does not exist on {type(proto).__name__}")
         return dataclasses.replace(config, protocol=replaced(proto, **{key: value}))
     if section == "entrainment":
         if key not in ("amplitude", "frequency"):
-            raise ConfigError(f"sweep field {field!r} is not a scalar entrainment field")
+            raise ConfigError(f"[sweep] field {field!r} is not a scalar entrainment field")
         ent = replaced(config.entrainment, enabled=True, **{key: value})
         return dataclasses.replace(config, entrainment=ent)
     if section == "simulation":
         if key not in ("duration", "dt"):
-            raise ConfigError(f"sweep field {field!r} is not a scalar simulation field")
+            raise ConfigError(f"[sweep] field {field!r} is not a scalar simulation field")
         return replaced(config, **{key: value})
-    raise ConfigError(f"sweep field {field!r} not supported")
+    raise ConfigError(f"[sweep] field {field!r} not supported")
 
 
 def run_sweep(config: RunConfig) -> list[SweepCell]:
@@ -588,15 +594,7 @@ def run_sweep(config: RunConfig) -> list[SweepCell]:
     cells: list[SweepCell] = []
     for v1, v2, cell_cfg in grid:
         try:
-            traj = integrate(
-                cell_cfg.params,
-                cell_cfg.topology,
-                cell_cfg.protocol,
-                cell_cfg.initial_states,
-                cell_cfg.duration,
-                cell_cfg.dt,
-                entrainment=cell_cfg.entrainment,
-            )
+            traj = _integrate(cell_cfg)
         except DivergenceError:
             cells.append(SweepCell(v1, v2, report=None))
             continue

@@ -18,7 +18,6 @@ from hkbnet.dynamics import (
     NoCoupling,
     OscillatorParams,
     PartialState,
-    coupling_term,
     integrate,
     state_extrema,
 )
@@ -244,8 +243,11 @@ class TestCriterion9Properties:
         states = np.tile([0.9, -0.7], (5, 1))
         ok = True
         for protocol in (FullState(0.3), PartialState(0.2, 0.4), HkbCoupling(-1, -1, 0.5)):
-            for i in range(5):
-                ok &= bool(np.abs(coupling_term(i, states, top, protocol)).max() < 1e-15)
+            # every node's coupling increment: add_coupling on a zero field
+            increments = np.zeros_like(states)
+            counts = top.neighbor_counts.astype(float)
+            protocol.add_coupling(increments, states, laplacian(top), top.weights, counts)
+            ok &= bool(np.abs(increments).max() < 1e-15)
         _criterion(9, "diffusive couplings vanish on common state", ok)
 
     def test_laplacian_spectral_properties(self):

@@ -15,14 +15,12 @@ from hkbnet.dynamics import (
     OscillatorParams,
     PartialState,
     Trajectory,
-    coupling_term,
-    hkb_field,
     integrate,
-    network_rhs,
+    network_field,
     state_extrema,
     step_count,
 )
-from hkbnet.graph import Topology, complete_graph, random_weighted_graph
+from hkbnet.graph import Topology, complete_graph, laplacian, random_weighted_graph
 from hkbnet.presets import ROCKING6_INITIAL, ROCKING6_PARAMS
 
 NODE1 = OscillatorParams(0.46, 1.16, 0.58, 0.31)
@@ -33,6 +31,14 @@ ALL_PROTOCOLS = [
     PartialState(0.15, 0.15),
     HkbCoupling(-1.0, -1.0, 0.15),
 ]
+
+
+def node_field(state, params):
+    """Reference oracle: one node's uncoupled field, in scalar arithmetic."""
+    pos, vel = float(state[0]), float(state[1])
+    acc = -(params.alpha * pos * pos + params.beta * vel * vel - params.gamma) * vel
+    acc -= params.omega * params.omega * pos
+    return np.array([vel, acc])
 
 
 def per_node_coupling(i, states, topology, protocol):
@@ -63,6 +69,25 @@ def per_node_coupling(i, states, topology, protocol):
     return np.array([0.0, (protocol.c / neighbors.size) * total])
 
 
+def field(states, params, topology, protocol, entrainment=Entrainment(), t=0.0):
+    """network_field evaluated once on (n, 2) states."""
+    return network_field(params, topology, protocol, entrainment)(t, np.asarray(states, dtype=float))
+
+
+def uncoupled_field(state, params):
+    """A node's own field: node 0 of a 2-node graph without coupling."""
+    return field([state, [0.0, 0.0]], [params, params], complete_graph(2), NoCoupling())[0]
+
+
+def coupling_row(i, states, topology, protocol):
+    """Node i's coupling increment: row i of add_coupling on a zero field."""
+    x = np.asarray(states, dtype=float)
+    out = np.zeros_like(x)
+    counts = topology.neighbor_counts.astype(float)
+    protocol.add_coupling(out, x, laplacian(topology), topology.weights, counts)
+    return out[i]
+
+
 def irregular_graph():
     """Seeded random weighted graph whose nodes have different neighbor counts."""
     top = random_weighted_graph(6, 0.5, 0.2, 2.0, seed=4)
@@ -86,18 +111,33 @@ class TestOscillatorParams:
         OscillatorParams(0.1, 1.0, -0.5, 1.0)
 
 
+class TestNonFiniteValues:
+    def test_constructors_reject_nan_and_inf(self):
+        # nan fails every comparison, so each check is written to reject it
+        nan, inf = float("nan"), float("inf")
+        for args in ((nan, 1.0, 0.5, 1.0), (0.1, nan, 0.5, 1.0), (0.1, 1.0, nan, 1.0),
+                     (0.1, 1.0, 0.5, nan), (0.1, 1.0, 0.5, inf)):
+            with pytest.raises(ValueError):
+                OscillatorParams(*args)
+        for make in (lambda: FullState(nan), lambda: PartialState(0.1, inf),
+                     lambda: HkbCoupling(-1.0, -1.0, nan), lambda: Entrainment(amplitude=nan),
+                     lambda: Entrainment(frequency=nan), lambda: Entrainment(frequency=inf)):
+            with pytest.raises(ValueError):
+                make()
+
+
 class TestHkbField:
     def test_origin_is_equilibrium(self):
-        assert np.array_equal(hkb_field([0.0, 0.0], NODE1), np.zeros(2))
+        assert np.array_equal(uncoupled_field([0.0, 0.0], NODE1), np.zeros(2))
 
     def test_zero_velocity_leaves_restoring_force(self):
-        deriv = hkb_field([1.0, 0.0], NODE1)
+        deriv = uncoupled_field([1.0, 0.0], NODE1)
         assert deriv[0] == 0.0
         assert abs(deriv[1] + NODE1.omega**2) < 1e-15
 
     def test_hand_evaluated_point(self):
         # independent arithmetic: -(0.46*0.25 + 1.16*0.04 - 0.58)*0.2 - 0.0961*0.5
-        deriv = hkb_field([0.5, 0.2], NODE1)
+        deriv = uncoupled_field([0.5, 0.2], NODE1)
         expected_acc = -(0.46 * 0.25 + 1.16 * 0.04 - 0.58) * 0.2 - 0.0961 * 0.5
         assert deriv[0] == 0.2
         assert abs(deriv[1] - expected_acc) < 1e-15
@@ -110,26 +150,26 @@ class TestCouplingTerm:
         top = complete_graph(4, 1.3)
         states = np.tile([0.7, -0.4], (4, 1))
         for i in range(4):
-            assert np.abs(coupling_term(i, states, top, protocol)).max() < 1e-15
+            assert np.abs(coupling_row(i, states, top, protocol)).max() < 1e-15
 
     def test_two_node_full_state(self):
         top = complete_graph(2, 1.0)
         states = np.array([[1.0, 0.0], [0.0, 0.0]])
-        inc = coupling_term(0, states, top, FullState(1.0))
+        inc = coupling_row(0, states, top, FullState(1.0))
         assert np.array_equal(inc, np.array([-1.0, 0.0]))
 
     def test_two_node_hkb(self):
         # [a + b * dpos^2] * dvel = (-1 + -1 * 1) * 1 = -2 on the acceleration
         top = complete_graph(2, 1.0)
         states = np.array([[1.0, 1.0], [0.0, 0.0]])
-        inc = coupling_term(0, states, top, HkbCoupling(-1.0, -1.0, 1.0))
+        inc = coupling_row(0, states, top, HkbCoupling(-1.0, -1.0, 1.0))
         assert inc[0] == 0.0
         assert abs(inc[1] + 2.0) < 1e-15
 
     def test_two_node_partial_state(self):
         top = complete_graph(2, 1.0)
         states = np.array([[1.0, 0.5], [0.0, 0.0]])
-        inc = coupling_term(0, states, top, PartialState(0.3, 0.7))
+        inc = coupling_row(0, states, top, PartialState(0.3, 0.7))
         assert inc[0] == 0.0
         assert abs(inc[1] + (0.3 * 1.0 + 0.7 * 0.5)) < 1e-15
 
@@ -137,13 +177,13 @@ class TestCouplingTerm:
         # one neighbor with weight 3: the mismatch is averaged over 1, not 3
         top = Topology(np.array([[0.0, 3.0], [3.0, 0.0]]))
         states = np.array([[1.0, 0.0], [0.0, 0.0]])
-        inc = coupling_term(0, states, top, FullState(1.0))
+        inc = coupling_row(0, states, top, FullState(1.0))
         assert abs(inc[0] + 3.0) < 1e-15
 
     def test_no_coupling_is_zero(self):
         top = complete_graph(3, 1.0)
         states = np.arange(6.0).reshape(3, 2)
-        assert np.array_equal(coupling_term(1, states, top, NoCoupling()), np.zeros(2))
+        assert np.array_equal(coupling_row(1, states, top, NoCoupling()), np.zeros(2))
 
 
 class TestNetworkRhs:
@@ -153,47 +193,39 @@ class TestNetworkRhs:
         for top in (complete_graph(6, 1.0), irregular_graph()):
             for _ in range(5):
                 states = rng.normal(size=(6, 2))
-                flat = network_rhs(0.0, states.reshape(-1), ROCKING6_PARAMS, top, protocol)
+                whole = field(states, ROCKING6_PARAMS, top, protocol)
                 couplings = [per_node_coupling(i, states, top, protocol) for i in range(6)]
                 per_node = np.array(
-                    [hkb_field(states[i], ROCKING6_PARAMS[i]) + couplings[i] for i in range(6)]
+                    [node_field(states[i], ROCKING6_PARAMS[i]) + couplings[i] for i in range(6)]
                 )
-                assert np.abs(flat.reshape(6, 2) - per_node).max() < 1e-12
+                assert np.abs(whole - per_node).max() < 1e-12
                 for i in range(6):
-                    row = coupling_term(i, states, top, protocol)
+                    row = coupling_row(i, states, top, protocol)
                     assert np.abs(row - couplings[i]).max() < 1e-12
 
     def test_table_initial_conditions_full_state(self):
         top = complete_graph(6, 1.0)
-        flat = network_rhs(
-            0.0, ROCKING6_INITIAL.reshape(-1), ROCKING6_PARAMS, top, FullState(0.15)
-        )
+        whole = field(ROCKING6_INITIAL, ROCKING6_PARAMS, top, FullState(0.15))
         per_node = np.array(
             [
-                hkb_field(ROCKING6_INITIAL[i], ROCKING6_PARAMS[i])
+                node_field(ROCKING6_INITIAL[i], ROCKING6_PARAMS[i])
                 + per_node_coupling(i, ROCKING6_INITIAL, top, FullState(0.15))
                 for i in range(6)
             ]
         )
-        assert np.abs(flat.reshape(6, 2) - per_node).max() < 1e-12
+        assert np.abs(whole - per_node).max() < 1e-12
 
     def test_entrainment_adds_to_acceleration_only(self):
         top = complete_graph(3, 1.0)
         params = ROCKING6_PARAMS[:3]
-        state = np.array([0.3, -0.2, 0.5, 0.1, -0.4, 0.2])
+        state = np.array([[0.3, -0.2], [0.5, 0.1], [-0.4, 0.2]])
         ent = Entrainment(amplitude=0.4, frequency=0.5, enabled=True)
         t = 1.7
-        plain = network_rhs(t, state, params, top, NoCoupling())
-        driven = network_rhs(t, state, params, top, NoCoupling(), ent)
-        delta = (driven - plain).reshape(3, 2)
+        plain = field(state, params, top, NoCoupling(), t=t)
+        driven = field(state, params, top, NoCoupling(), ent, t=t)
+        delta = driven - plain
         assert np.abs(delta[:, 0]).max() == 0.0
         assert np.abs(delta[:, 1] - 0.4 * np.sin(0.5 * t)).max() < 1e-15
-
-    def test_non_finite_state_raises(self):
-        top = complete_graph(2, 1.0)
-        state = np.array([np.nan, 0.0, 0.0, 0.0])
-        with pytest.raises(DivergenceError):
-            network_rhs(0.0, state, ROCKING6_PARAMS[:2], top, NoCoupling())
 
     def test_matches_dedicated_two_node_implementation(self):
         # independent closed-form two-node diffusive system
@@ -215,7 +247,7 @@ class TestNetworkRhs:
         p1, p2 = ROCKING6_PARAMS[0], ROCKING6_PARAMS[4]
         for _ in range(10):
             state = rng.normal(size=4)
-            mine = network_rhs(0.0, state, (p1, p2), top, FullState(0.2))
+            mine = field(state.reshape(2, 2), (p1, p2), top, FullState(0.2)).reshape(-1)
             ref = two_node(state, p1, p2, 0.2)
             assert np.abs(mine - ref).max() < 1e-14
 
@@ -310,7 +342,7 @@ class TestIntegrate:
         assert step_count(1.0, 1.0) == 1
         assert step_count(10.0, 0.025) == 400
         for duration, dt in ((1.0, 0.03), (1.0, 0.3), (1.0, 0.0), (-1.0, 0.01), (1.0, 2.0),
-                             (float("inf"), 0.01), (1.0, float("nan"))):
+                             (float("inf"), 0.01), (1.0, float("nan")), (1.0, 5e-324)):
             with pytest.raises(ValueError):
                 step_count(duration, dt)
 

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from hkbnet import graph
-from hkbnet.presets import validation5_topology
+from hkbnet.bounds import quad_certificate
+from hkbnet.presets import VALIDATION5_PARAMS, validation5_topology
 
 
 def random_topology(rng, n, edge_prob=0.7):
@@ -206,27 +207,26 @@ class TestConnectivity:
 
 
 class TestKronLambda2:
+    """The Kronecker gap lambda2 * min(p * shape) inside the Lyapunov certificate.
+
+    c_bar = max(w) / (lambda2 * min(p * shape)), so max(w) / c_bar recovers the
+    second-smallest eigenvalue of Ln kron diag(p * shape) once the kernel's
+    copies count as one zero.
+    """
+
+    @staticmethod
+    def gap(topology, p, shape):
+        params = VALIDATION5_PARAMS[: topology.n]  # one shared gamma
+        cert = quad_certificate(topology, params, p=p, coupling_shape=shape)
+        return max(cert.w) / cert.c_bar
+
     def test_fixture_with_shape_matrix(self):
-        top = validation5_topology()
-        ln = graph.normalized_neighbor_laplacian(top)
-        value = graph.kron_lambda2(ln, (0.077, 0.077), similarity_hint=top.neighbor_counts)
+        value = self.gap(validation5_topology(), (0.077, 0.077), (1.0, 1.0))
         assert abs(value - 0.4112 * 0.077) < 1e-9
 
-    def test_identity_factor_full_multiset_gives_zero(self):
-        # literal 2n multiset duplicates the kernel, so the second smallest is 0
-        ln = graph.normalized_neighbor_laplacian(graph.complete_graph(4, 1.0))
-        value = graph.kron_lambda2(ln, (1.0, 1.0), exclude_kernel_copies=False)
-        assert abs(value) < 1e-12
-
-    def test_two_node_full_multiset(self):
-        # products of {0, 2} with diag(1, 2) -> {0, 0, 2, 4}; second smallest 0
-        ln = graph.normalized_neighbor_laplacian(graph.complete_graph(2, 1.0))
-        value = graph.kron_lambda2(ln, np.diag([1.0, 2.0]), exclude_kernel_copies=False)
-        assert abs(value) < 1e-12
-
     def test_two_node_kernel_copies_excluded(self):
-        ln = graph.normalized_neighbor_laplacian(graph.complete_graph(2, 1.0))
-        value = graph.kron_lambda2(ln, np.diag([1.0, 2.0]))
+        # neighbor-normalized K2 has eigenvalues {0, 2}: gap 2 * min(1, 2)
+        value = self.gap(graph.complete_graph(2, 1.0), (1.0, 1.0), (1.0, 2.0))
         assert abs(value - 2.0) < 1e-12
 
     @pytest.mark.parametrize("seed", range(10))
@@ -234,13 +234,12 @@ class TestKronLambda2:
         rng = np.random.default_rng(400 + seed)
         n = int(rng.integers(2, 6))
         top = random_topology(rng, n, edge_prob=0.95)
-        if np.any(top.neighbor_counts == 0):
-            pytest.skip("drew an isolated node")
+        if not top.is_connected():
+            pytest.skip("drew a disconnected graph")
         ln = graph.normalized_neighbor_laplacian(top)
-        d = rng.uniform(0.1, 3.0, size=2)
-        mine = graph.kron_lambda2(
-            ln, d, similarity_hint=top.neighbor_counts, exclude_kernel_copies=False
-        )
-        full = np.kron(ln, np.diag(d))
-        ref = np.sort(np.linalg.eigvals(full).real)[1]
-        assert abs(mine - ref) < 1e-9
+        p = rng.uniform(0.1, 3.0, size=2)
+        shape = rng.uniform(0.1, 3.0, size=2)
+        full = np.kron(ln, np.diag(p * shape))
+        eigs = np.sort(np.linalg.eigvals(full).real)
+        ref = eigs[np.abs(eigs) > graph.ZERO_EIGENVALUE_TOL][0]
+        assert abs(self.gap(top, p, shape) - ref) < 1e-9

@@ -7,13 +7,10 @@ from hkbnet.dynamics import Entrainment, FullState, OscillatorParams, Trajectory
 from hkbnet.graph import complete_graph
 from hkbnet.metrics import (
     EntrainmentUndefinedError,
-    InvalidPairError,
     agent_relative_phase,
     agent_sync_degree,
-    cluster_phase,
     compute_sync_report,
     dyadic_matrix,
-    dyadic_sync,
     entrainment_index,
     group_sync_series,
     group_sync_summary,
@@ -27,22 +24,25 @@ def phase_series(phases, dt=0.01):
 
 
 class TestClusterPhase:
+    """The group angle at each sample, seen through agent_relative_phase."""
+
     def test_coherent_snapshot(self):
-        result = cluster_phase(np.full(5, 0.8))
-        assert abs(result.order - np.exp(1j * 0.8)) < 1e-12
-        assert abs(result.angle - 0.8) < 1e-12
-        assert not result.indeterminate
+        # every node at 0.8: the group angle is 0.8, so each relative phase is 0
+        rel = agent_relative_phase(phase_series(np.full((3, 5), 0.8)))
+        assert np.abs(rel.series).max() < 1e-12
+        assert rel.excluded_samples == 0
 
     def test_antipodal_pair_is_indeterminate(self):
-        result = cluster_phase(np.array([0.0, np.pi]))
-        assert result.indeterminate
-        assert result.angle == 0.0
+        # the antipodal sample's angle is taken as 0 and the sample is excluded
+        rel = agent_relative_phase(phase_series([[0.0, np.pi], [0.3, 0.3]]))
+        assert rel.excluded_samples == 1
+        assert np.array_equal(rel.series[0], [0.0, np.pi])
 
     def test_three_phase_hand_value(self):
-        # (e^{i0} + e^{i pi/2} + e^{i pi}) / 3 = i / 3
-        result = cluster_phase(np.array([0.0, np.pi / 2, np.pi]))
-        assert abs(result.order - 1j / 3) < 1e-12
-        assert abs(result.angle - np.pi / 2) < 1e-12
+        # (e^{i0} + e^{i pi/2} + e^{i pi}) / 3 = i / 3, whose angle is pi/2
+        rel = agent_relative_phase(phase_series([[0.0, np.pi / 2, np.pi]]))
+        assert rel.excluded_samples == 0
+        assert np.abs(rel.series[0] - [-np.pi / 2, 0.0, np.pi / 2]).max() < 1e-12
 
 
 class TestAgentRelativePhase:
@@ -121,7 +121,7 @@ class TestDyadicSync:
     def test_identical_series(self):
         theta = np.linspace(0.0, 3.0, 100)
         ps = phase_series(np.column_stack([theta, theta]))
-        assert dyadic_sync(ps, 0, 1) == pytest.approx(1.0)
+        assert dyadic_matrix(ps)[0, 1] == pytest.approx(1.0)
 
     def test_whole_beat_periods_average_out(self):
         # phase difference advancing by k whole turns sums to exactly zero
@@ -129,17 +129,26 @@ class TestDyadicSync:
         base = np.linspace(0.0, 1.0, n_samples)
         diff = 2 * np.pi * k * np.arange(n_samples) / n_samples
         ps = phase_series(np.column_stack([base, base + diff]))
-        assert dyadic_sync(ps, 0, 1) < 1e-9
+        assert dyadic_matrix(ps)[0, 1] < 1e-9
 
     def test_symmetry(self):
+        # swapping the nodes' columns gives the same pair value
         rng = np.random.default_rng(2)
-        ps = phase_series(rng.uniform(-np.pi, np.pi, size=(64, 3)))
-        assert dyadic_sync(ps, 0, 2) == pytest.approx(dyadic_sync(ps, 2, 0))
+        raw = rng.uniform(-np.pi, np.pi, size=(64, 3))
+        d = dyadic_matrix(phase_series(raw))
+        swapped = dyadic_matrix(phase_series(raw[:, ::-1]))
+        assert d[0, 2] == pytest.approx(swapped[0, 2])
 
-    def test_same_node_raises(self):
-        ps = phase_series(np.zeros((10, 2)))
-        with pytest.raises(InvalidPairError):
-            dyadic_sync(ps, 1, 1)
+    def test_matches_pairwise_mean(self):
+        # each entry against the per-pair mean phasor it stands for
+        rng = np.random.default_rng(5)
+        ps = phase_series(rng.uniform(-np.pi, np.pi, size=(64, 4)))
+        d = dyadic_matrix(ps)
+        for k in range(4):
+            for kp in range(4):
+                if k != kp:
+                    pair = np.abs(np.exp(1j * (ps.phases[:, k] - ps.phases[:, kp])).mean())
+                    assert abs(d[k, kp] - pair) < 1e-12
 
     def test_matrix_is_symmetric(self):
         rng = np.random.default_rng(3)
@@ -171,7 +180,7 @@ class TestEntrainmentIndex:
     def test_inactive_signal_raises(self):
         ps = PhaseSeries(dt=0.01, phases=np.zeros((10, 2)))
         with pytest.raises(EntrainmentUndefinedError):
-            entrainment_index(ps, Entrainment.off())
+            entrainment_index(ps, Entrainment())
         with pytest.raises(EntrainmentUndefinedError):
             entrainment_index(ps, Entrainment(amplitude=0.0, frequency=0.5, enabled=True))
 
@@ -246,8 +255,7 @@ class TestRangesAndInvariances:
         series_a = group_sync_series(rel_a.series, rel_a.mean_phase)
         series_b = group_sync_series(rel_b.series, rel_b.mean_phase)
         assert np.abs(series_a - series_b).max() < 1e-9
-        for k in range(3):
-            assert abs(dyadic_sync(a, k, k + 1) - dyadic_sync(b, k, k + 1)) < 1e-9
+        assert np.abs(dyadic_matrix(a) - dyadic_matrix(b)).max() < 1e-9
 
 
 class TestStrongCouplingLimit:

@@ -1,11 +1,18 @@
 """Tests for config parsing, presets, artifact emission, and the CLI."""
 
+import copy
 import dataclasses
+import io
 import json
+import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hkbnet import cli, runner
 from hkbnet.dynamics import FullState, HkbCoupling, NoCoupling, PartialState
@@ -331,6 +338,9 @@ class TestSweep:
             runner.run_sweep(runner.preset_config("rocking6-fsc"))
 
 
+COMPLETE_WEIGHTS = "weights =\n    0 1\n    1 0"
+ROW1 = "    0.46 1.16 0.58 0.31 -1.4 0.3"
+
 # Inputs that break the run contract: (CLI flags, (old, new) edit of the config
 # file or None, section the error must name).
 CONTRACT_INPUTS = [
@@ -341,6 +351,20 @@ CONTRACT_INPUTS = [
     pytest.param(["--dt", "0.03", "--duration", "1"], None, "[simulation]", id="dt-not-dividing"),
     pytest.param([], ("duration = 5", "duration = -5"), "[simulation]", id="file-duration-negative"),
     pytest.param([], ("[output]", "[bounds]\nquad = maybe\n\n[output]"), "[bounds]", id="file-quad-maybe"),
+    pytest.param([], ("c = 0.15", "c = 5%"), "[protocol]", id="percent-sign"),
+    pytest.param([], ("c = 0.15", "c = nan"), "[protocol]", id="c-nan"),
+    pytest.param([], (COMPLETE_WEIGHTS, "preset = complete\nnodes = 2\nweight = 0"), "[network]",
+                 id="complete-weight-zero"),
+    pytest.param([], (COMPLETE_WEIGHTS, "preset = complete\nnodes = 1"), "[network]",
+                 id="complete-one-node"),
+    pytest.param([], (ROW1, ROW1.replace("0.31", "inf")), "[nodes]", id="omega-inf"),
+    pytest.param([], (ROW1, ROW1.replace("-1.4", "nan")), "[nodes]", id="pos0-nan"),
+    pytest.param([], ("values = 0.1 0.2", "values = nan 0.2"), "[sweep]", id="sweep-value-nan"),
+    pytest.param([], ("[output]", "[bounds]\np11 = 0\n\n[output]"), "[bounds]", id="p11-zero"),
+    pytest.param([], ("[output]", "[bounds]\nw11 = -1\n\n[output]"), "[bounds]", id="w11-negative"),
+    pytest.param([], ("[output]", "[bounds]\nz1_max = 0\n\n[output]"), "[bounds]", id="z1-max-zero"),
+    pytest.param([], ("[output]", "[bounds]\ngamma1 = -1\n\n[output]"), "[bounds]",
+                 id="gamma1-negative"),
 ]
 
 
@@ -415,6 +439,96 @@ class TestCli:
         assert code == cli.EXIT_OK
         assert (tmp_path / "sweep.csv").exists()
         assert "2 cells" in capsys.readouterr().out
+
+
+# A valid config as {section: {option: value}}, matrices as rows of tokens.
+# The two nodes share gamma, so the bounds verb reaches the Lyapunov
+# certificate.  One second at dt = 0.1 keeps a draw short, and a blank
+# duration then means the default 200 s at 2000 steps.
+FUZZ_BASE = {
+    "network": {"weights": [["0", "1"], ["1", "0"]]},
+    "nodes": {
+        "table": [
+            ["0.46", "1.16", "0.58", "0.31", "-1.4", "0.3"],
+            ["0.25", "0.86", "0.58", "0.62", "-0.8", "-0.1"],
+        ]
+    },
+    "protocol": {"kind": "full_state", "c": "0.15"},
+    "entrainment": {"enabled": "true", "amplitude": "0.3", "frequency": "0.5"},
+    "simulation": {"duration": "1", "dt": "0.1"},
+    "sweep": {"field": "protocol.c", "values": "0.1 0.2"},
+    "bounds": {
+        "p11": "0.077", "p22": "0.077", "w11": "0.001", "w22": "0.045",
+        "gamma1": "1", "gamma2": "1", "z1_max": "2", "z2_max": "1",
+    },
+}
+
+
+def _fuzz_targets():
+    """Where a mutation lands: a whole section, one option, or one matrix cell."""
+    targets = []
+    for section, options in FUZZ_BASE.items():
+        targets.append((section,))
+        for option, value in options.items():
+            if isinstance(value, list):
+                targets += [(section, option, r, c) for r, row in enumerate(value) for c in range(len(row))]
+            else:
+                targets.append((section, option))
+    return targets
+
+
+FUZZ_TOKENS = (
+    "nan", "inf", "-inf", "1e999", "0", "-0", "-1", "0.5", "2", "5%", "%(c)s", "abc", "",
+    "1 2", "yes", "none", "hkb", "partial_state", "protocol.c1", "entrainment.frequency",
+    "simulation.dt",
+)
+
+
+def _fuzz_config(target, token) -> str:
+    """FUZZ_BASE with the target replaced by token (None deletes it), as INI text."""
+    sections = copy.deepcopy(FUZZ_BASE)
+    if len(target) == 1:
+        del sections[target[0]]
+    elif len(target) == 2:
+        if token is None:
+            del sections[target[0]][target[1]]
+        else:
+            sections[target[0]][target[1]] = token
+    else:
+        row = sections[target[0]][target[1]][target[2]]
+        row[target[3]:target[3] + 1] = [] if token is None else [token]
+    lines = []
+    for name, options in sections.items():
+        lines.append(f"[{name}]")
+        for option, value in options.items():
+            if isinstance(value, list):
+                lines += [f"{option} ="] + ["    " + " ".join(row) for row in value]
+            else:
+                lines.append(f"{option} = {value}")
+        lines.append("")
+    return "\n".join(lines)
+
+
+class TestCliProperty:
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(
+        verb=st.sampled_from(["run", "sweep", "bounds", "validate"]),
+        target=st.sampled_from(_fuzz_targets()),
+        token=st.none() | st.sampled_from(FUZZ_TOKENS),
+        dt=st.none() | st.sampled_from(["0", "-1", "nan", "inf", "0.5", "0.03", "0.05", "0.1"]),
+        duration=st.none() | st.sampled_from(["0", "-1", "nan", "inf", "0.02", "0.5", "2"]),
+    )
+    def test_one_mutation_exits_0_2_or_3(self, verb, target, token, dt, duration):
+        flags = (["--dt", dt] if dt else []) + (["--duration", duration] if duration else [])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "fuzz.cfg"
+            path.write_text(_fuzz_config(target, token))
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = cli.main([verb, str(path), "--out-dir", str(Path(tmp) / "out"), *flags])
+        assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_DIVERGED)
+        if code == cli.EXIT_CONFIG:
+            assert re.search(r"\[[a-z]+\]", err.getvalue()), err.getvalue()
 
 
 REFERENCE_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "reference_run_presets.json"
