@@ -6,12 +6,15 @@ Two independent certificates are evaluated:
   unweighted complete graph, built from node-averaged parameters and bounds
   on the virtual state, and
 * a Lyapunov-style minimum coupling c_bar with an asymptotic error bound
-  epsilon, valid on any connected topology but requiring a common linear
-  damping coefficient across nodes.
+  epsilon.  Its two hypotheses are decided here only: common_gamma (every
+  node's gamma within GAMMA_RTOL * max(1, |gamma_1|) of the first's) and
+  has_spectral_gap (lambda2 above graph.ZERO_EIGENVALUE_TOL); bounds.csv
+  has the Lyapunov rows only when both hold.
 
 Both are sufficient conditions only; simulations routinely synchronize well
-below them, so infeasible or conservative outcomes are reported as values,
-never raised as errors.
+below them, so infeasible or conservative outcomes are reported as values
+(an empty window, an epsilon of None), never raised as errors: `hkbnet
+bounds` exits 0 on every config RunConfig accepts, unless it diverges.
 """
 
 from __future__ import annotations
@@ -22,11 +25,13 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import OscillatorParams
-from .graph import ZERO_EIGENVALUE_TOL, Topology, neighbor_lambda2
+from .graph import ZERO_EIGENVALUE_TOL
+
+GAMMA_RTOL = 1e-9
 
 
 class InvalidBoundError(ValueError):
-    """A state bound fed into a certificate is not positive."""
+    """A state bound fed into a certificate is negative."""
 
 
 class UndefinedBoundError(ValueError):
@@ -109,8 +114,8 @@ def contraction_window(
     """
     if n_nodes < 2:
         raise ValueError("need at least two nodes")
-    if z1_max <= 0.0 or z2_max <= 0.0:
-        raise InvalidBoundError("state bounds must be positive")
+    if z1_max < 0.0 or z2_max < 0.0:
+        raise InvalidBoundError("state bounds must be nonnegative")
     threshold = 2.0 * avg.alpha * z1_max * z2_max + avg.omega ** 2 + avg.gamma
     factor = (n_nodes - 1) / n_nodes
     c_lo = factor * threshold
@@ -160,22 +165,40 @@ def m_bar(params: Sequence[OscillatorParams], pos_max: float, vel_max: float) ->
     return (1.0 + alpha_m * pos_max ** 2 + beta_m * vel_max ** 2) * vel_max + omega_m ** 2 * pos_max
 
 
-def _diag2(values, name: str) -> np.ndarray:
-    d = np.asarray(values, dtype=float)
-    if d.ndim == 2:
-        if d.shape != (2, 2) or np.any(d != np.diag(np.diag(d))):
-            raise ValueError(f"{name} must be a diagonal 2x2 matrix")
-        d = np.diag(d)
-    if d.shape != (2,):
-        raise ValueError(f"{name} must hold two diagonal entries")
-    return d
+def common_gamma(params: Sequence[OscillatorParams]) -> float | None:
+    """gamma_1 if every node's gamma is within GAMMA_RTOL * max(1, |gamma_1|) of it, else None."""
+    gamma = params[0].gamma
+    tol = GAMMA_RTOL * max(1.0, abs(gamma))
+    return gamma if all(abs(q.gamma - gamma) <= tol for q in params) else None
 
 
-def _lambda2_of(topology: Topology) -> float:
-    lam2 = neighbor_lambda2(topology)
-    if lam2 <= ZERO_EIGENVALUE_TOL:
-        raise UndefinedBoundError("topology has no spectral gap (disconnected?)")
-    return lam2
+def has_spectral_gap(lambda2: float) -> bool:
+    """Whether lambda2 is nonzero, the other hypothesis of the Lyapunov certificate."""
+    return lambda2 > ZERO_EIGENVALUE_TOL
+
+
+def _shapes(lambda2: float, gamma: float, p, w11: float, coupling_shape, w22: float | None):
+    """Check lambda2 and the shape matrices; return p, shape and w22 (default gamma * p22)."""
+    pd = np.asarray(p, dtype=float)
+    gd = np.asarray(coupling_shape, dtype=float)
+    if pd.shape != (2,) or gd.shape != (2,):
+        raise ValueError("p and coupling_shape must each hold two diagonal entries")
+    if np.any(pd <= 0.0) or w11 <= 0.0:
+        raise ValueError("p and w11 must be positive")
+    if np.any(gd <= 0.0):
+        raise BoundInapplicableError("coupling shape must be positive definite here")
+    if not has_spectral_gap(lambda2):
+        raise UndefinedBoundError("lambda2 is zero; no coupling bound exists")
+    return pd, gd, (w22 if w22 is not None else gamma * pd[1])
+
+
+def _cbar(lambda2: float, pd: np.ndarray, gd: np.ndarray, top: float) -> float:
+    return top / (lambda2 * float((pd * gd).min()))
+
+
+def _epsilon(c, lambda2, pd, gd, top, m_bound, n_nodes) -> float | None:
+    gap = c * lambda2 * float((pd * gd).min()) - top
+    return np.sqrt(n_nodes) * m_bound * float(pd.max()) / gap if gap > 0.0 else None
 
 
 def quad_cbar_direct(
@@ -192,18 +215,8 @@ def quad_cbar_direct(
     an explicit w22 is taken at face value.  The result is invariant under a
     common positive rescaling of p, w11 and w22.
     """
-    pd = _diag2(p, "p")
-    gd = _diag2(coupling_shape, "coupling_shape")
-    if np.any(pd <= 0.0):
-        raise ValueError("p must have positive diagonal entries")
-    if w11 <= 0.0:
-        raise ValueError("w11 must be positive")
-    if np.any(gd <= 0.0):
-        raise BoundInapplicableError("coupling shape must be positive definite here")
-    if lambda2 <= ZERO_EIGENVALUE_TOL:
-        raise UndefinedBoundError("lambda2 is zero; no coupling bound exists")
-    top = max(w11, w22 if w22 is not None else gamma_avg * pd[1])
-    return top / (lambda2 * float((pd * gd).min()))
+    pd, gd, w22 = _shapes(lambda2, gamma_avg, p, w11, coupling_shape, w22)
+    return _cbar(lambda2, pd, gd, max(w11, w22))
 
 
 def quad_cbar_minimized(lambda2: float, gamma_avg: float, coupling_shape=(1.0, 1.0)) -> float:
@@ -212,14 +225,10 @@ def quad_cbar_minimized(lambda2: float, gamma_avg: float, coupling_shape=(1.0, 1
     Attained in the limit w11 -> 0 with p11 >= p22; only meaningful for
     positive gamma_avg.
     """
-    gd = _diag2(coupling_shape, "coupling_shape")
-    if np.any(gd <= 0.0):
-        raise BoundInapplicableError("coupling shape must be positive definite here")
-    if lambda2 <= ZERO_EIGENVALUE_TOL:
-        raise UndefinedBoundError("lambda2 is zero; no coupling bound exists")
     if gamma_avg <= 0.0:
         raise BoundInapplicableError("minimized bound assumes a positive common damping")
-    return gamma_avg / (lambda2 * float(gd.min()))
+    # with p = I and w11 = w22 = gamma_avg the direct bound is exactly this limit
+    return quad_cbar_direct(lambda2, gamma_avg, (1.0, 1.0), gamma_avg, coupling_shape)
 
 
 def quad_epsilon_direct(
@@ -232,35 +241,22 @@ def quad_epsilon_direct(
     m_bound: float,
     n_nodes: int,
     w22: float | None = None,
-) -> float:
+) -> float | None:
     """Asymptotic tracking-error bound at coupling strength c.
 
     Requires the side condition c * lambda2 * min(p * shape) > max(w11, w22);
-    otherwise the certificate says nothing and BoundInapplicableError is
-    raised (a statement about hypotheses, not a numeric failure).
+    otherwise the certificate says nothing and the result is None.
     """
-    pd = _diag2(p, "p")
-    gd = _diag2(coupling_shape, "coupling_shape")
-    if np.any(pd <= 0.0) or w11 <= 0.0:
-        raise ValueError("shape entries must be positive")
-    if np.any(gd <= 0.0):
-        raise BoundInapplicableError("coupling shape must be positive definite here")
     if m_bound < 0.0:
         raise InvalidBoundError("remainder bound must be nonnegative")
     if n_nodes < 2:
         raise ValueError("need at least two nodes")
-    top = max(w11, w22 if w22 is not None else gamma_avg * pd[1])
-    gap = c * lambda2 * float((pd * gd).min()) - top
-    if gap <= 0.0:
-        raise BoundInapplicableError(
-            f"side condition fails: c*lambda2*min(p*shape)={c * lambda2 * float((pd * gd).min()):.6g} "
-            f"<= max(w)={top:.6g}"
-        )
-    return np.sqrt(n_nodes) * m_bound * float(pd.max()) / gap
+    pd, gd, w22 = _shapes(lambda2, gamma_avg, p, w11, coupling_shape, w22)
+    return _epsilon(c, lambda2, pd, gd, max(w11, w22), m_bound, n_nodes)
 
 
 def quad_certificate(
-    topology: Topology,
+    lambda2: float,
     params: Sequence[OscillatorParams],
     p=(1.0, 1.0),
     w11: float = 1e-6,
@@ -270,39 +266,30 @@ def quad_certificate(
     vel_max: float | None = None,
     w22: float | None = None,
 ) -> QuadCertificate:
-    """Full Lyapunov certificate for a network with a common damping coefficient.
+    """Full Lyapunov certificate for a network with spectral gap lambda2.
 
-    Rejects heterogeneous gamma (the decomposition behind the certificate
-    needs one shared linear term).  epsilon is filled in when a coupling
-    strength is given and the side condition holds at it; the remainder
-    bound needs pos_max and vel_max (typically measured from a pilot run).
+    Rejects nodes without a common gamma (the decomposition behind the
+    certificate needs one shared linear term).  epsilon is filled in when a
+    coupling strength is given and the side condition holds at it; the
+    remainder bound needs pos_max and vel_max (typically measured from a
+    pilot run).
     """
-    gammas = np.array([q.gamma for q in params])
-    if np.abs(gammas - gammas[0]).max() > 1e-9 * max(1.0, abs(gammas[0])):
+    gamma = common_gamma(params)
+    if gamma is None:
         raise BoundInapplicableError("certificate requires identical gamma across nodes")
-    gamma_avg = float(gammas[0])
-    lam2 = _lambda2_of(topology)
-    pd = _diag2(p, "p")
-    gd = _diag2(coupling_shape, "coupling_shape")
-    w22_val = w22 if w22 is not None else gamma_avg * pd[1]
-    c_bar = quad_cbar_direct(lam2, gamma_avg, pd, w11, gd, w22)
-    m_bound = None
-    epsilon = None
+    pd, gd, w22 = _shapes(lambda2, gamma, p, w11, coupling_shape, w22)
+    top = max(w11, w22)
+    m_bound = epsilon = None
     if pos_max is not None and vel_max is not None:
         m_bound = m_bar(params, pos_max, vel_max)
         if c is not None:
-            try:
-                epsilon = quad_epsilon_direct(
-                    c, lam2, gamma_avg, pd, w11, gd, m_bound, topology.n, w22
-                )
-            except BoundInapplicableError:
-                epsilon = None
+            epsilon = _epsilon(c, lambda2, pd, gd, top, m_bound, len(params))
     return QuadCertificate(
         p=pd,
-        w=np.array([w11, w22_val]),
+        w=np.array([w11, w22]),
         coupling_shape=gd,
-        lambda2=lam2,
-        c_bar=c_bar,
+        lambda2=lambda2,
+        c_bar=_cbar(lambda2, pd, gd, top),
         epsilon=epsilon,
         m_bound=m_bound,
     )

@@ -7,7 +7,8 @@
 
 <config> is a preset name (rocking6-nc, rocking6-fsc, rocking6-psc,
 rocking6-hkb, validation5) or a path to a config file.  Exit status: 0
-success, 2 invalid configuration, 3 divergence during integration.
+success, 2 invalid configuration (also an output directory that cannot be
+created, or a node that never moves), 3 divergence during integration.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import sys
 from pathlib import Path
 
 from .dynamics import DivergenceError
+from .phase import DegenerateSignalError
 from .runner import (
     ConfigError,
     PRESET_NAMES,
@@ -72,6 +74,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    if args.command != "validate":
+        try:
+            Path(config.out_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            print(f"error: [output] cannot create directory {config.out_dir}: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
 
     try:
         if args.command == "validate":
@@ -105,6 +113,9 @@ def main(argv=None) -> int:
             return EXIT_OK
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except DegenerateSignalError as exc:
+        print(f"error: [nodes] {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)

@@ -103,5 +103,10 @@ class PhaseSeries:
 
 def phases_from_trajectory(traj) -> PhaseSeries:
     """Extract every node's phase from its position series."""
-    columns = [instantaneous_phase(traj.states[:, k, 0]) for k in range(traj.n_nodes)]
+    columns = []
+    for k in range(traj.n_nodes):
+        try:
+            columns.append(instantaneous_phase(traj.states[:, k, 0]))
+        except DegenerateSignalError:
+            raise DegenerateSignalError(f"node {k + 1} never moves, so it has no phase") from None
     return PhaseSeries(dt=traj.dt, phases=np.column_stack(columns))

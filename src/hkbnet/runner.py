@@ -54,10 +54,10 @@ rows on indented continuation lines):
 Each section's defaults are those of the dataclass it builds, and every
 number must be finite.  Every RunConfig, however it is built (preset,
 file, CLI override or sweep cell), is checked on construction: 0 < dt <=
-duration, dt divides the duration, the grid holds at least 4 samples, and
-no node is isolated under a coupled protocol.  A violation raises
-ConfigError naming the section and field, which the CLI turns into exit
-status 2.
+duration, dt divides the duration, the grid holds at least 4 samples and
+no more than one array can address, and no node is isolated under a
+coupled protocol.  A violation raises ConfigError naming the section and
+field, which the CLI turns into exit status 2.
 
 All emitted CSVs are UTF-8 with LF line endings, one header row, and reals
 printed with 9 significant digits.  Runs are deterministic: an identical
@@ -164,11 +164,12 @@ class RunConfig:
             samples = step_count(self.duration, self.dt) + 1
         except ValueError as exc:
             raise ConfigError(f"[simulation] {exc}") from None
+        grid = f"[simulation] duration={self.duration} at dt={self.dt} gives {samples:.6g} samples"
         if samples < 4:
-            raise ConfigError(
-                f"[simulation] duration={self.duration} at dt={self.dt} gives {samples} samples, "
-                "but phase extraction needs at least 4"
-            )
+            raise ConfigError(f"{grid}, but phase extraction needs at least 4")
+        # integrate stores every sample in one (samples, n, 2) float64 array
+        if samples * self.topology.n * 16 > np.iinfo(np.intp).max:
+            raise ConfigError(f"{grid}, more than one array can hold for {self.topology.n} nodes")
         isolated = np.flatnonzero(self.topology.neighbor_counts == 0)
         if isolated.size and not isinstance(self.protocol, NoCoupling):
             raise ConfigError(
@@ -450,13 +451,11 @@ def validate_config(source: str | Path | RunConfig) -> list[str]:
         )
     if cfg.entrainment.enabled and cfg.entrainment.amplitude == 0.0:
         diagnostics.append("entrainment: enabled with zero amplitude (no effect)")
-    if cfg.bounds.quad:
-        gammas = [p.gamma for p in cfg.params]
-        if max(gammas) - min(gammas) > 1e-9:
-            diagnostics.append(
-                "bounds: quad bound requested but gamma differs across nodes "
-                "(certificate inapplicable)"
-            )
+    if cfg.bounds.quad and bounds_mod.common_gamma(cfg.params) is None:
+        diagnostics.append(
+            "bounds: quad bound requested but gamma differs across nodes "
+            "(certificate inapplicable)"
+        )
     return diagnostics
 
 
@@ -466,15 +465,12 @@ def validate_config(source: str | Path | RunConfig) -> list[str]:
 
 
 def _integrate(config: RunConfig) -> Trajectory:
-    return integrate(
-        config.params,
-        config.topology,
-        config.protocol,
-        config.initial_states,
-        config.duration,
-        config.dt,
-        entrainment=config.entrainment,
-    )
+    try:
+        return integrate(config.params, config.topology, config.protocol, config.initial_states,
+                         config.duration, config.dt, entrainment=config.entrainment)
+    except MemoryError:
+        samples = step_count(config.duration, config.dt) + 1
+        raise ConfigError(f"[simulation] {samples} samples do not fit in memory") from None
 
 
 def simulate(config: RunConfig) -> RunResult:
@@ -518,21 +514,19 @@ def bounds_rows(config: RunConfig, traj: Trajectory | None = None) -> tuple[tupl
         ("topology_is_complete_unweighted", float(complete_unweighted)),
     ]
 
-    connected = config.topology.is_connected()
-    if connected:
-        rows.append(("lambda2", neighbor_lambda2(config.topology)))
-
-    gammas = np.array([p.gamma for p in config.params])
-    quad_ok = np.ptp(gammas) <= 1e-9 and connected
+    quad_ok = False
+    if config.topology.is_connected():
+        lam2 = neighbor_lambda2(config.topology)
+        rows.append(("lambda2", lam2))
+        quad_ok = bounds_mod.has_spectral_gap(lam2) and bounds_mod.common_gamma(config.params) is not None
     rows.append(("quad_applicable", float(quad_ok)))
     if quad_ok:
-        shape = (config.bounds.gamma1, config.bounds.gamma2)
         cert = bounds_mod.quad_certificate(
-            config.topology,
+            lam2,
             config.params,
             p=(config.bounds.p11, config.bounds.p22),
             w11=config.bounds.w11,
-            coupling_shape=shape,
+            coupling_shape=(config.bounds.gamma1, config.bounds.gamma2),
             c=config.protocol.c if isinstance(config.protocol, FullState) else None,
             pos_max=extrema.pos_max,
             vel_max=extrema.vel_max,

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from hkbnet import runner
 from hkbnet.bounds import (
     AveragedParams,
     BoundInapplicableError,
     InvalidBoundError,
     UndefinedBoundError,
+    common_gamma,
     contraction_window,
     m_bar,
     quad_cbar_direct,
@@ -17,7 +19,7 @@ from hkbnet.bounds import (
     virtual_jacobian,
 )
 from hkbnet.dynamics import FullState, OscillatorParams, integrate, state_extrema
-from hkbnet.graph import Topology, complete_graph, random_weighted_graph
+from hkbnet.graph import Topology, complete_graph, neighbor_lambda2, random_weighted_graph
 from hkbnet.metrics import tracking_error_norm
 from hkbnet.presets import ROCKING6_PARAMS, VALIDATION5_PARAMS
 
@@ -61,9 +63,12 @@ class TestContractionWindow:
             assert contraction_window(avg, 0.5, 0.5, n).c_hi < 1.0
 
     def test_nonpositive_state_bound_raises(self):
+        # a zero bound (a network at rest) is a state bound like any other, as in m_bar
         avg = AveragedParams(alpha=0.1, beta=1.0, gamma=0.2, omega=0.3)
+        assert contraction_window(avg, 0.0, 1.0, 4).c_lo == pytest.approx(0.75 * (0.09 + 0.2))
+        assert contraction_window(avg, 0.0, 0.0, 4).large_n_c_lo == pytest.approx(0.09 + 0.2)
         with pytest.raises(InvalidBoundError):
-            contraction_window(avg, 0.0, 1.0, 4)
+            contraction_window(avg, -1e-12, 1.0, 4)
         with pytest.raises(InvalidBoundError):
             contraction_window(avg, 1.0, -2.0, 4)
 
@@ -157,7 +162,9 @@ class TestQuadCbar:
 
     def test_topology_route_matches_direct(self):
         # lambda2 of the neighbor-normalized K5 Laplacian is 5/4; gamma is 0.58 on every node
-        cert = quad_certificate(complete_graph(5, 1.0), VALIDATION5_PARAMS, p=(1.0, 1.0), w11=0.001)
+        lam2 = neighbor_lambda2(complete_graph(5, 1.0))
+        assert lam2 == pytest.approx(1.25)
+        cert = quad_certificate(lam2, VALIDATION5_PARAMS, p=(1.0, 1.0), w11=0.001)
         assert cert.c_bar == pytest.approx(quad_cbar_direct(1.25, 0.58, (1.0, 1.0), 0.001))
 
     def test_disconnected_topology_raises(self):
@@ -165,7 +172,9 @@ class TestQuadCbar:
         w[0, 1] = w[1, 0] = 1.0
         w[2, 3] = w[3, 2] = 1.0
         with pytest.raises(UndefinedBoundError):
-            quad_certificate(Topology(w), VALIDATION5_PARAMS[:4], p=(1.0, 1.0), w11=0.001)
+            quad_certificate(
+                neighbor_lambda2(Topology(w)), VALIDATION5_PARAMS[:4], p=(1.0, 1.0), w11=0.001
+            )
 
 
 class TestQuadEpsilon:
@@ -184,10 +193,16 @@ class TestQuadEpsilon:
         assert two == pytest.approx(2.0 * one)
 
     def test_side_condition_violation_raises(self):
-        with pytest.raises(BoundInapplicableError):
-            quad_epsilon_direct(
-                0.07, 0.4112, 0.58, (0.077, 0.077), 0.001, (1.0, 1.0), 7.6, 5, w22=0.045
-            )
+        # the certificate is silent below the side condition: a value, not an error
+        for c in (0.07, 1.42):  # c_bar = 0.045 / (0.4112 * 0.077) = 1.4212
+            assert quad_epsilon_direct(
+                c, 0.4112, 0.58, (0.077, 0.077), 0.001, (1.0, 1.0), 7.6, 5, w22=0.045
+            ) is None
+
+    def test_no_spectral_gap_raises(self):
+        # no gap, no certificate: however large c is, the side condition says nothing
+        with pytest.raises(UndefinedBoundError):
+            quad_epsilon_direct(1e12, 1e-9, 0.58, (0.077, 0.077), 0.001, (1.0, 1.0), 7.6, 5)
 
     def test_hand_evaluated_value(self):
         gap = 1.45 * 0.4112 * 0.077 - 0.045
@@ -200,14 +215,12 @@ class TestQuadEpsilon:
 
 class TestQuadCertificate:
     def test_heterogeneous_gamma_rejected(self):
-        top = complete_graph(6, 1.0)
         with pytest.raises(BoundInapplicableError):
-            quad_certificate(top, ROCKING6_PARAMS)
+            quad_certificate(neighbor_lambda2(complete_graph(6, 1.0)), ROCKING6_PARAMS)
 
     def test_certificate_fields(self):
-        top = complete_graph(5, 1.0)
         cert = quad_certificate(
-            top, VALIDATION5_PARAMS, p=(0.077, 0.077), w11=0.001,
+            neighbor_lambda2(complete_graph(5, 1.0)), VALIDATION5_PARAMS, p=(0.077, 0.077), w11=0.001,
             c=2.0, pos_max=2.6, vel_max=0.96,
         )
         assert cert.lambda2 == pytest.approx(1.25)
@@ -217,12 +230,34 @@ class TestQuadCertificate:
         assert cert.w[1] == pytest.approx(0.58 * 0.077)
 
     def test_epsilon_absent_below_side_condition(self):
-        top = complete_graph(5, 1.0)
         cert = quad_certificate(
-            top, VALIDATION5_PARAMS, p=(0.077, 0.077), w11=0.001,
+            neighbor_lambda2(complete_graph(5, 1.0)), VALIDATION5_PARAMS, p=(0.077, 0.077), w11=0.001,
             c=0.01, pos_max=2.6, vel_max=0.96,
         )
         assert cert.epsilon is None
+
+    @pytest.mark.parametrize("delta, shared", [(1.5e-9, True), (2.5e-9, False)])
+    def test_one_gamma_verdict_everywhere(self, delta, shared):
+        # at gamma = 2 the shared-gamma tolerance is GAMMA_RTOL * 2 = 2e-9
+        params = (OscillatorParams(0.3, 1.0, 2.0, 0.5), OscillatorParams(0.4, 1.1, 2.0 + delta, 0.6))
+        config = runner.RunConfig(
+            label="pair",
+            topology=complete_graph(2, 1.0),
+            params=params,
+            initial_states=np.array([[1.0, 0.0], [-1.0, 0.0]]),
+            protocol=FullState(0.5),
+            duration=1.0,
+            bounds=runner.BoundsOptions(quad=True),
+        )
+        assert (common_gamma(params) is not None) == shared
+        assert (runner.validate_config(config) == []) == shared
+        rows = dict(runner.bounds_rows(config))
+        assert rows["quad_applicable"] == float(shared)
+        if shared:
+            assert quad_certificate(rows["lambda2"], params).c_bar == rows["c_bar"]
+        else:
+            with pytest.raises(BoundInapplicableError):
+                quad_certificate(rows["lambda2"], params)
 
 
 class TestEmpiricalSoundness:
@@ -266,12 +301,13 @@ class TestEmpiricalSoundness:
             )
         ]
         x0 = rng.uniform(-1.5, 1.5, size=(n, 2))
-        c_bar = quad_certificate(top, params, p=(1.0, 1.0), w11=1e-6).c_bar
+        lam2 = neighbor_lambda2(top)
+        c_bar = quad_certificate(lam2, params, p=(1.0, 1.0), w11=1e-6).c_bar
         c = 2.0 * c_bar
         traj = integrate(params, top, FullState(c), x0, 200.0, 0.01)
         extrema = state_extrema(traj)
         cert = quad_certificate(
-            top, params, p=(1.0, 1.0), w11=1e-6, c=c,
+            lam2, params, p=(1.0, 1.0), w11=1e-6, c=c,
             pos_max=extrema.pos_max, vel_max=extrema.vel_max,
         )
         eta = tracking_error_norm(traj)

@@ -217,7 +217,7 @@ class TestKronLambda2:
     @staticmethod
     def gap(topology, p, shape):
         params = VALIDATION5_PARAMS[: topology.n]  # one shared gamma
-        cert = quad_certificate(topology, params, p=p, coupling_shape=shape)
+        cert = quad_certificate(graph.neighbor_lambda2(topology), params, p=p, coupling_shape=shape)
         return max(cert.w) / cert.c_bar
 
     def test_fixture_with_shape_matrix(self):

@@ -349,6 +349,7 @@ CONTRACT_INPUTS = [
     pytest.param(["--dt", "0"], None, "[simulation]", id="dt-zero"),
     pytest.param(["--dt", "5", "--duration", "1"], None, "[simulation]", id="dt-above-duration"),
     pytest.param(["--dt", "0.03", "--duration", "1"], None, "[simulation]", id="dt-not-dividing"),
+    pytest.param(["--dt", "1e-300", "--duration", "1"], None, "1e+300 samples", id="grid-too-large"),
     pytest.param([], ("duration = 5", "duration = -5"), "[simulation]", id="file-duration-negative"),
     pytest.param([], ("[output]", "[bounds]\nquad = maybe\n\n[output]"), "[bounds]", id="file-quad-maybe"),
     pytest.param([], ("c = 0.15", "c = 5%"), "[protocol]", id="percent-sign"),
@@ -439,6 +440,52 @@ class TestCli:
         assert code == cli.EXIT_OK
         assert (tmp_path / "sweep.csv").exists()
         assert "2 cells" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("verb", ["run", "sweep", "bounds"])
+    def test_unwritable_out_dir_exits_before_integrating(self, verb, tmp_path, capsys, monkeypatch):
+        def no_integration(*args, **kwargs):
+            raise AssertionError("integrated before the output directory was checked")
+
+        monkeypatch.setattr(runner, "integrate", no_integration)
+        path = tmp_path / "run.cfg"
+        path.write_text(GOOD_CONFIG + "\n[sweep]\nfield = protocol.c\nvalues = 0.1 0.2\n")
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert cli.main([verb, str(path), "--out-dir", str(blocker / "x")]) == cli.EXIT_CONFIG
+        assert "[output]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["run", "sweep"])
+    def test_node_that_never_moves_exits_config(self, verb, tmp_path, capsys):
+        # uncoupled, node 2 starts at the origin, a fixed point, so it has no phase
+        path = tmp_path / "still.cfg"
+        path.write_text(
+            GOOD_CONFIG.replace("kind = full_state\nc = 0.15", "kind = none").replace("-0.8 -0.1", "0 0")
+            + "\n[sweep]\nfield = simulation.duration\nvalues = 1 2\n"
+        )
+        assert cli.main([verb, str(path), "--out-dir", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "[nodes]" in err and "node 2" in err
+
+    def test_bounds_without_spectral_gap(self, tmp_path, capsys):
+        # connected, so RunConfig accepts it, but the 1e-10 bridge leaves lambda2 below tolerance
+        path = tmp_path / "bridge.cfg"
+        path.write_text(
+            GOOD_CONFIG.replace("    0 1\n    1 0", "    0 1 0\n    1 0 1e-10\n    0 1e-10 0")
+            .replace("0.56 0.62 -0.8 -0.1", "0.58 0.62 -0.8 -0.1\n    0.37 1.20 0.58 0.52 1.0 0.2")
+        )
+        assert cli.main(["bounds", str(path), "--out-dir", str(tmp_path)]) == cli.EXIT_OK
+        assert "lambda2 = " in capsys.readouterr().out
+        rows = dict(line.split(",") for line in (tmp_path / "bounds.csv").read_text().splitlines()[1:])
+        assert 0.0 < float(rows["lambda2"]) < 1e-8
+        assert rows["quad_applicable"] == "0" and "c_bar" not in rows
+
+    def test_bounds_at_rest(self, tmp_path, capsys):
+        # every node starts at the origin and stays there: both state bounds are 0
+        path = tmp_path / "rest.cfg"
+        path.write_text(GOOD_CONFIG.replace("-1.4 0.3", "0 0").replace("-0.8 -0.1", "0 0"))
+        assert cli.main(["bounds", str(path), "--out-dir", str(tmp_path)]) == cli.EXIT_OK
+        out = capsys.readouterr().out
+        assert "p_M = 0\n" in out and "contraction_feasible = 1" in out
 
 
 # A valid config as {section: {option: value}}, matrices as rows of tokens.
