@@ -3,8 +3,8 @@
 Two independent certificates are evaluated:
 
 * a contraction-theory window (c_lo, c_hi) for full-state coupling on an
-  unweighted complete graph, built from node-averaged parameters and bounds
-  on the virtual state, and
+  unweighted complete graph (decided by is_complete_unweighted), built from
+  node-averaged parameters and bounds on the virtual state, and
 * a Lyapunov-style minimum coupling c_bar with an asymptotic error bound
   epsilon.  Its two hypotheses are decided here only: common_gamma (every
   node's gamma within GAMMA_RTOL * max(1, |gamma_1|) of the first's) and
@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import OscillatorParams
-from .graph import ZERO_EIGENVALUE_TOL
+from .graph import ZERO_EIGENVALUE_TOL, Topology
 
 GAMMA_RTOL = 1e-9
 
@@ -68,8 +68,8 @@ class ContractionWindow:
     """Coupling window certifying bounded synchronization via contraction.
 
     Only valid for full-state coupling on an unweighted complete graph of
-    n_nodes nodes; large_n_* gives the limit window as the node count grows.
-    feasible is False when the window is empty, which merely means the
+    n_nodes nodes (is_complete_unweighted); large_n_* gives the limit window
+    as the node count grows.  feasible is False when the window is empty, which merely means the
     sufficient condition is silent.
     """
 
@@ -80,7 +80,6 @@ class ContractionWindow:
     large_n_c_hi: float
     large_n_feasible: bool
     n_nodes: int
-    assumes_complete_unweighted: bool = True
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,6 +128,12 @@ def contraction_window(
         large_n_feasible=threshold < 1.0,
         n_nodes=n_nodes,
     )
+
+
+def is_complete_unweighted(topology: Topology) -> bool:
+    """Whether every pair of distinct nodes has weight 1, the contraction window's hypothesis."""
+    off_diagonal = ~np.eye(topology.n, dtype=bool)
+    return bool(np.all(topology.weights[off_diagonal] == 1.0))
 
 
 def virtual_jacobian(z, avg: AveragedParams, c_hat: float, n_nodes: int) -> np.ndarray:

@@ -11,6 +11,7 @@ from hkbnet.bounds import (
     UndefinedBoundError,
     common_gamma,
     contraction_window,
+    is_complete_unweighted,
     m_bar,
     quad_cbar_direct,
     quad_cbar_minimized,
@@ -71,6 +72,13 @@ class TestContractionWindow:
             contraction_window(avg, -1e-12, 1.0, 4)
         with pytest.raises(InvalidBoundError):
             contraction_window(avg, 1.0, -2.0, 4)
+
+    def test_complete_unweighted_hypothesis(self):
+        assert is_complete_unweighted(complete_graph(6))
+        assert not is_complete_unweighted(complete_graph(6, 0.5))
+        path = np.diag(np.ones(3), 1)
+        assert not is_complete_unweighted(Topology(path + path.T))
+        assert is_complete_unweighted(Topology(np.array([[0.0, 1.0], [1.0, 0.0]])))
 
 
 class TestVirtualJacobian:

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import hashlib
 import io
 import json
 import re
@@ -174,6 +175,23 @@ class TestValidateConfig:
         diagnostics = runner.validate_config(path)
         assert any("gamma" in d for d in diagnostics)
 
+    def test_no_spectral_gap_with_quad_request(self, tmp_path):
+        # a connected 4-node path whose 1e-10 middle edge leaves lambda2 below tolerance
+        path = tmp_path / "bridge.cfg"
+        path.write_text(
+            GOOD_CONFIG.replace("    0 1\n    1 0", "    0 1 0 0\n    1 0 1e-10 0\n    0 1e-10 0 1\n    0 0 1 0")
+            .replace("0.56 0.62 -0.8 -0.1", "0.58 0.62 -0.8 -0.1\n    0.37 1.20 0.58 0.52 1.0 0.2"
+                     "\n    0.34 1.73 0.58 0.37 -1.8 -0.3")
+            + "\n[bounds]\nquad = true\n"
+        )
+        assert runner.validate_config(path) == [
+            "bounds: quad bound requested but lambda2 = 6.67e-11 leaves no spectral gap "
+            "(certificate inapplicable)"
+        ]
+        out_dir = tmp_path / "out"
+        assert cli.main(["bounds", str(path), "--out-dir", str(out_dir)]) == cli.EXIT_OK
+        assert "quad_applicable,0\n" in (out_dir / "bounds.csv").read_text()
+
     def test_zero_strength_flagged(self):
         cfg = dataclasses.replace(
             runner.preset_config("rocking6-psc"), protocol=PartialState(0.0, 0.0)
@@ -244,6 +262,60 @@ class TestRunOutputs:
         b = runner.run(cfg, out_dir=tmp_path / "b")
         for pa, pb in zip(a.written, b.written):
             assert pa.read_bytes() == pb.read_bytes(), pa.name
+
+    def test_rocking6_fsc_digests(self, tmp_path):
+        # sha256 of each file as written before emission moved to the block writer
+        expected = {
+            "trajectory.csv": "c1ec68bc5ac2db7cdc2da5133dc41bd6c445aabd27633405ac06c3dba66c30e6",
+            "phases.csv": "72f2fd5b108bc2178692d1d7f96f37a8e087020e49a13550f617cfc115d14287",
+            "rho_g_series.csv": "7470e86a91fa712d6e71bef2f2ec00ee453fee64130302c3a62e2a27b49fe569",
+            "eta_series.csv": "f886c965e441d42ba374db9d769ae89c5878caf73c7e39940c869332c95d491d",
+            "sync_report.csv": "1e1d9f0758dbf52d5d7cad48bc05451273a0c75ee0a3761e42b1d6ced0b6fc5e",
+            "bounds.csv": "f00f25e49787d555f780ae895563a57098b9b15d509c52d5e37d4ad7e2cd95af",
+        }
+        with redirect_stdout(io.StringIO()):
+            code = cli.main(["run", "rocking6-fsc", "--duration", "2", "--out-dir", str(tmp_path)])
+        assert code == cli.EXIT_OK
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+        assert got == expected
+
+
+def _row_writer(path, header, rows):
+    """The row-by-row writer the per-sample files used to go through, kept as the oracle."""
+
+    def fmt(value):
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        return format(float(value), ".9g")
+
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(",".join(header) + "\n")
+        for row in rows:
+            handle.write(",".join(fmt(v) for v in row) + "\n")
+
+
+EDGE_VALUES = [-0.0, 5e-324, 1e16, -123456789.5, 0.1 + 0.2, 0.0, 1.0, -1e-300, 123456789.0]
+
+
+class TestBlockWriter:
+    @pytest.mark.parametrize("samples", [4, 255, 256, 257, 2001])
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    def test_matches_row_writer(self, n, samples, tmp_path):
+        rng = np.random.default_rng(1000 * n + samples)
+        pool = np.concatenate([EDGE_VALUES, rng.normal(size=64) * 10.0 ** rng.integers(-20, 21, size=64)])
+        times, series = rng.choice(pool, size=(2, samples))
+        pos, vel = rng.choice(pool, size=(2, samples, n))
+        cases = [
+            (("t", "node", "pos", "vel"), (times, pos, vel),
+             ((times[k], i + 1, pos[k, i], vel[k, i]) for k in range(samples) for i in range(n))),
+            (("t", "node", "theta"), (times, pos),
+             ((times[k], i + 1, pos[k, i]) for k in range(samples) for i in range(n))),
+            (("t", "eta"), (times, series), zip(times, series)),
+        ]
+        for header, arrays, rows in cases:
+            _row_writer(tmp_path / "rows.csv", header, rows)
+            runner._write_per_sample(tmp_path / "blocks.csv", header, *arrays)
+            assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes(), header
 
 
 class TestSweep:
