@@ -47,9 +47,9 @@ class OscillatorParams:
     omega: float
 
     def __post_init__(self):
-        # written as "not >=" so that nan fails too
-        if not (self.alpha >= 0.0 and self.beta >= 0.0):
-            raise ValueError("alpha and beta must be nonnegative")
+        # written as "not (0 <= x < inf)" so that nan fails too
+        if not (0.0 <= self.alpha < math.inf and 0.0 <= self.beta < math.inf):
+            raise ValueError("alpha and beta must be nonnegative and finite")
         if not math.isfinite(self.gamma):
             raise ValueError("gamma must be finite")
         if not 0.0 < self.omega < math.inf:
@@ -67,7 +67,7 @@ def strength_fields(protocol) -> tuple[str, ...]:
 
 
 class _Protocol:
-    """Base of the coupling protocols; rejects a negative coupling strength.
+    """Base of the coupling protocols; rejects a negative strength and any non-finite field.
 
     Each protocol's add_coupling(field, x, lap, weights, counts) adds its
     interaction to the (n, 2) network field in place, given the states x,
@@ -81,6 +81,9 @@ class _Protocol:
         for name in strength_fields(self):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"coupling strength {name} must be nonnegative and finite")
+        for f in dataclasses.fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -195,16 +198,6 @@ class Trajectory:
     @property
     def num_samples(self) -> int:
         return self.states.shape[0]
-
-    @property
-    def duration(self) -> float:
-        return float(self.times[-1])
-
-    def positions(self) -> np.ndarray:
-        return self.states[:, :, 0]
-
-    def velocities(self) -> np.ndarray:
-        return self.states[:, :, 1]
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ rows on indented continuation lines):
     preset = complete
     nodes = 6
     weight = 1.0
-    # ... or an inline weight matrix
+    # ... or an inline weight matrix, not both
     # weights =
     #     0 1
     #     1 0
@@ -42,7 +42,7 @@ rows on indented continuation lines):
     z1_max =                 # default: measured from the run
     z2_max =
 
-    [sweep]                  # optional grid over scalar fields
+    [sweep]                  # optional grid over scalar fields; needs field and values
     field = protocol.c
     values = 0.05 0.1 0.15
     field2 = entrainment.amplitude
@@ -55,9 +55,12 @@ Each section's defaults are those of the dataclass it builds, and every
 number must be finite.  Every RunConfig, however it is built (preset,
 file, CLI override or sweep cell), is checked on construction: 0 < dt <=
 duration, dt divides the duration, the grid holds at least 4 samples and
-no more than one array can address, and no node is isolated under a
-coupled protocol.  A violation raises ConfigError naming the section and
-field, which the CLI turns into exit status 2.
+no more than one array can address, no node is isolated under a coupled
+protocol, and every sweep cell passes these checks.  Every option of a
+config file must be read: one that is misspelt, in an unknown section, or
+unused beside the others (preset beside weights) is an error.  A violation
+raises ConfigError naming the section and field, which the CLI turns into
+exit status 2.
 
 write_outputs emits a run's bundle: four per-sample files (trajectory.csv,
 phases.csv, rho_g_series.csv, eta_series.csv), written a fixed block of
@@ -115,6 +118,12 @@ class SweepSpec:
     field2: str | None = None
     values2: tuple[float, ...] = ()
 
+    def __post_init__(self):
+        if not self.values:
+            raise ValueError("values must not be empty")
+        if (self.field2 is None) != (not self.values2):
+            raise ValueError("field2 and values2 must be given together")
+
 
 @dataclass(frozen=True)
 class BoundsOptions:
@@ -138,8 +147,8 @@ class BoundsOptions:
     def __post_init__(self):
         for name in ("p11", "p22", "w11", "gamma1", "gamma2", "z1_max", "z2_max"):
             value = getattr(self, name)
-            if value is not None and not value > 0.0:
-                raise ValueError(f"{name} must be positive, got {value}")
+            if value is not None and not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,7 +157,7 @@ class RunConfig:
 
     __post_init__ checks the run contract in the module docstring, and
     dataclasses.replace runs it too, so CLI overrides and sweep cells are
-    checked like presets and config files.
+    checked like presets and config files; the sweep's cells are built here.
     """
 
     label: str
@@ -180,6 +189,8 @@ class RunConfig:
                 f"[network] node {isolated[0] + 1} has no neighbors, "
                 "but a coupled protocol needs every node to have one"
             )
+        if self.sweep is not None:
+            _sweep_grid(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,16 +300,8 @@ def _parse_values(text: str, section: str, option: str) -> tuple[float, ...]:
     return tuple(_finite_float(tok, section, option) for tok in text.split())
 
 
-def _get_float(cfg, section, option, default=None):
-    raw = cfg.get(section, option, fallback="").strip()
-    if not raw:
-        if default is None:
-            raise ConfigError(f"[{section}] missing required field {option!r}")
-        return default
-    return _finite_float(raw, section, option)
-
-
-def _read_parser(path: Path) -> configparser.ConfigParser:
+def _read_parser(path: Path) -> dict[str, dict[str, str]]:
+    """Read the config file at path as {section: {option: text}}."""
     cfg = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -307,31 +310,50 @@ def _read_parser(path: Path) -> configparser.ConfigParser:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except configparser.Error as exc:
         raise ConfigError(f"config syntax error in {path}: {exc}") from None
-    return cfg
+    return {name: dict(cfg[name]) for name in cfg.sections()}
 
 
-def _section(cfg, name, cls, **defaults):
+def _take(sections, name, option, default=None):
+    """Remove option from section [name] and return its text, or default when absent or blank."""
+    return sections.get(name, {}).pop(option, "").strip() or default
+
+
+def _reject_unread(sections, *names):
+    """Raise ConfigError naming the first option no read took, in [names] or else in any section."""
+    for name in names or sections:
+        for option in sections.get(name, ()):
+            raise ConfigError(f"[{name}] {option}: unknown or unused option")
+
+
+def _section(sections, name, cls, **defaults):
     """Build the dataclass cls from section [name], one option per field.
 
     An absent or blank option takes its value from defaults, else from the
     field's own default (so a field defaulting to None is optional); a field
-    with neither is required.  bool fields are read with getboolean, every
-    other field as a float.
+    with neither is required.  bool, str and tuple fields are read as a
+    boolean, as text and as numbers; any other as a float.  Any other option
+    in [name] is an error.
     """
+    fields = dataclasses.fields(cls)
+    texts = {f.name: _take(sections, name, f.name) for f in fields}
+    _reject_unread(sections, name)
     values = {}
-    for f in dataclasses.fields(cls):
-        raw = cfg.get(name, f.name, fallback="").strip()
-        if not raw:
+    for f in fields:
+        raw = texts[f.name]
+        if raw is None:
             values[f.name] = defaults.get(f.name, f.default)
             if values[f.name] is dataclasses.MISSING:
                 raise ConfigError(f"[{name}] missing required field {f.name!r}")
-        elif f.type in (bool, "bool"):
-            try:
-                values[f.name] = cfg.getboolean(name, f.name)
-            except ValueError:
-                raise ConfigError(f"[{name}] {f.name}: not a boolean ({raw!r})") from None
+        elif f.type == "bool":
+            values[f.name] = configparser.ConfigParser.BOOLEAN_STATES.get(raw.lower())
+            if values[f.name] is None:
+                raise ConfigError(f"[{name}] {f.name}: not a boolean ({raw!r})")
+        elif f.type.startswith("tuple"):
+            values[f.name] = _parse_values(raw, name, f.name)
+        elif f.type.startswith("str"):
+            values[f.name] = raw
         else:
-            values[f.name] = _get_float(cfg, name, f.name)
+            values[f.name] = _finite_float(raw, name, f.name)
     try:
         return cls(**values)
     except ValueError as exc:
@@ -346,32 +368,29 @@ def load_config(source: str | Path) -> RunConfig:
     path = Path(source)
     if not path.exists():
         raise ConfigError(f"{name!r} is neither a preset name nor an existing config file")
-    cfg = _read_parser(path)
+    sections = _read_parser(path)
 
-    for required in ("network", "nodes"):
-        if not cfg.has_section(required):
-            raise ConfigError(f"missing required section [{required}]")
-
-    # Topology: complete-graph shorthand or an inline matrix.
-    if cfg.has_option("network", "weights"):
-        weights = _parse_matrix(cfg.get("network", "weights"), "network", "weights")
+    # Topology: an inline matrix or the complete-graph shorthand.
+    weights = _take(sections, "network", "weights")
+    if weights is not None:
         try:
-            topology = Topology(weights)
+            topology = Topology(_parse_matrix(weights, "network", "weights"))
         except TopologyError as exc:
             raise ConfigError(f"[network] weights: {exc}") from None
-    elif cfg.get("network", "preset", fallback="").strip() == "complete":
+    elif _take(sections, "network", "preset") == "complete":
         try:
-            n = cfg.getint("network", "nodes")
-        except (ValueError, configparser.NoOptionError):
+            n = int(_take(sections, "network", "nodes", ""))
+        except ValueError:
             raise ConfigError("[network] preset=complete needs an integer 'nodes'") from None
+        weight = _take(sections, "network", "weight", "1.0")
         try:
-            topology = complete_graph(n, _get_float(cfg, "network", "weight", default=1.0))
+            topology = complete_graph(n, _finite_float(weight, "network", "weight"))
         except TopologyError as exc:
             raise ConfigError(f"[network] {exc}") from None
     else:
         raise ConfigError("[network] needs either 'weights' or 'preset = complete'")
 
-    table = _parse_matrix(cfg.get("nodes", "table", fallback=""), "nodes", "table")
+    table = _parse_matrix(_take(sections, "nodes", "table", ""), "nodes", "table")
     if table.shape[1] != 6:
         raise ConfigError("[nodes] table rows must hold: alpha beta gamma omega pos0 vel0")
     if table.shape[0] != topology.n:
@@ -382,51 +401,31 @@ def load_config(source: str | Path) -> RunConfig:
         params = tuple(OscillatorParams(*row[:4]) for row in table)
     except ValueError as exc:
         raise ConfigError(f"[nodes] table: {exc}") from None
-    initial = table[:, 4:6].copy()
 
-    kind = cfg.get("protocol", "kind", fallback="none").strip().lower()
+    kind = _take(sections, "protocol", "kind", "none").lower()
     if kind not in PROTOCOL_KINDS:
         raise ConfigError(f"[protocol] unknown kind {kind!r}")
-    protocol = _section(cfg, "protocol", PROTOCOL_KINDS[kind])
-    entrainment = _section(cfg, "entrainment", Entrainment)
     simulation = {
-        key: _get_float(cfg, "simulation", key, default=getattr(RunConfig, key))
+        key: _finite_float(text, "simulation", key)
         for key in ("duration", "dt")
+        if (text := _take(sections, "simulation", key)) is not None
     }
-
-    sweep_spec = None
-    if cfg.has_section("sweep") and cfg.has_option("sweep", "field"):
-        values = _parse_values(cfg.get("sweep", "values", fallback=""), "sweep", "values")
-        if not values:
-            raise ConfigError("[sweep] needs a non-empty 'values' list")
-        field2 = cfg.get("sweep", "field2", fallback="").strip() or None
-        values2 = _parse_values(cfg.get("sweep", "values2", fallback=""), "sweep", "values2")
-        if field2 and not values2:
-            raise ConfigError("[sweep] field2 given without values2")
-        sweep_spec = SweepSpec(
-            field=cfg.get("sweep", "field").strip(),
-            values=values,
-            field2=field2,
-            values2=values2,
-        )
-
-    bounds_opts = BoundsOptions()
-    if cfg.has_section("bounds"):
-        # a [bounds] section is a request for the certificate unless it says otherwise
-        bounds_opts = _section(cfg, "bounds", BoundsOptions, quad=True)
-
-    return RunConfig(
-        label=cfg.get("run", "label", fallback=path.stem),
+    config = RunConfig(
+        label=_take(sections, "run", "label", path.stem),
         topology=topology,
         params=params,
-        initial_states=initial,
-        protocol=protocol,
-        entrainment=entrainment,
-        out_dir=cfg.get("output", "directory", fallback="out"),
-        sweep=sweep_spec,
-        bounds=bounds_opts,
+        initial_states=table[:, 4:6].copy(),
+        protocol=_section(sections, "protocol", PROTOCOL_KINDS[kind]),
+        entrainment=_section(sections, "entrainment", Entrainment),
+        out_dir=_take(sections, "output", "directory", RunConfig.out_dir),
+        sweep=_section(sections, "sweep", SweepSpec) if "sweep" in sections else None,
+        # a [bounds] section is a request for the certificate unless it says otherwise
+        bounds=(_section(sections, "bounds", BoundsOptions, quad=True)
+                if "bounds" in sections else BoundsOptions()),
         **simulation,
     )
+    _reject_unread(sections)
+    return config
 
 
 def validate_config(source: str | Path | RunConfig) -> list[str]:
@@ -574,27 +573,33 @@ def _with_field(config: RunConfig, field: str, value: float) -> RunConfig:
     raise ConfigError(f"[sweep] field {field!r} not supported")
 
 
+def _sweep_grid(config: RunConfig) -> list[tuple[float, float | None, RunConfig]]:
+    """(value1, value2, cell config) for each cell of the sweep, in grid order.
+
+    Cells derive from a copy without the sweep, so building one does not recurse.
+    """
+    spec = config.sweep
+    base = dataclasses.replace(config, sweep=None)
+    grid = []
+    for v1 in spec.values:
+        for v2 in spec.values2 or (None,):
+            cell_cfg = _with_field(base, spec.field, v1)
+            if v2 is not None:
+                cell_cfg = _with_field(cell_cfg, spec.field2, v2)
+            grid.append((v1, v2, cell_cfg))
+    return grid
+
+
 def run_sweep(config: RunConfig) -> list[SweepCell]:
     """Execute the sweep grid cell by cell (no I/O).
 
-    Every cell's config is built before any cell runs, so a swept value the
-    config rejects raises ConfigError up front.  Cells are independent: a
-    cell that diverges is recorded without stopping the rest of the grid,
-    and any other error propagates.
+    Cells are independent: a cell that diverges is recorded without stopping
+    the rest of the grid, and any other error propagates.
     """
     if config.sweep is None:
         raise ConfigError("configuration has no [sweep] section")
-    spec = config.sweep
-    grid2 = spec.values2 if spec.field2 else (None,)
-    grid = []
-    for v1 in spec.values:
-        for v2 in grid2:
-            cell_cfg = _with_field(config, spec.field, v1)
-            if spec.field2 and v2 is not None:
-                cell_cfg = _with_field(cell_cfg, spec.field2, v2)
-            grid.append((v1, v2, cell_cfg))
     cells: list[SweepCell] = []
-    for v1, v2, cell_cfg in grid:
+    for v1, v2, cell_cfg in _sweep_grid(config):
         try:
             traj = _integrate(cell_cfg)
         except DivergenceError:

@@ -116,12 +116,15 @@ class TestNonFiniteValues:
         # nan fails every comparison, so each check is written to reject it
         nan, inf = float("nan"), float("inf")
         for args in ((nan, 1.0, 0.5, 1.0), (0.1, nan, 0.5, 1.0), (0.1, 1.0, nan, 1.0),
-                     (0.1, 1.0, 0.5, nan), (0.1, 1.0, 0.5, inf)):
+                     (0.1, 1.0, 0.5, nan), (0.1, 1.0, 0.5, inf), (inf, 1.0, 1.0, 1.0),
+                     (1.0, inf, 1.0, 1.0)):
             with pytest.raises(ValueError):
                 OscillatorParams(*args)
         for make in (lambda: FullState(nan), lambda: PartialState(0.1, inf),
-                     lambda: HkbCoupling(-1.0, -1.0, nan), lambda: Entrainment(amplitude=nan),
-                     lambda: Entrainment(frequency=nan), lambda: Entrainment(frequency=inf)):
+                     lambda: HkbCoupling(-1.0, -1.0, nan), lambda: HkbCoupling(nan, -1.0, 0.1),
+                     lambda: HkbCoupling(-1.0, inf, 0.1), lambda: Entrainment(amplitude=nan),
+                     lambda: Entrainment(frequency=nan), lambda: Entrainment(frequency=inf),
+                     lambda: runner.BoundsOptions(p11=inf), lambda: runner.BoundsOptions(z1_max=inf)):
             with pytest.raises(ValueError):
                 make()
 

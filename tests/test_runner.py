@@ -3,9 +3,11 @@
 import copy
 import dataclasses
 import hashlib
+import importlib.util
 import io
 import json
 import re
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -24,6 +26,8 @@ from hkbnet.presets import (
     VALIDATION5_PARAMS,
     VALIDATION5_WEIGHTS,
 )
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 # Verbatim copies of the bundled parameter tables, kept here so a preset
 # edit cannot silently drift: (alpha, beta, gamma, omega, pos0, vel0).
@@ -155,6 +159,28 @@ class TestConfigParsing:
     def test_nonexistent_source(self):
         with pytest.raises(runner.ConfigError):
             runner.load_config("no/such/file.cfg")
+
+    def test_readme_example(self, tmp_path):
+        # the README's documented format must be what the reader accepts
+        readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        section = readme[readme.index("## Config file format"):]
+        path = tmp_path / "readme.cfg"
+        path.write_text(section.split("```ini\n", 1)[1].split("```", 1)[0])
+        cfg = runner.load_config(path)
+        assert cfg.protocol == FullState(0.15)
+        assert cfg.sweep == runner.SweepSpec(field="protocol.c", values=(0.05, 0.1, 0.15, 0.2))
+        assert cfg.bounds.quad and cfg.bounds.w22 == 0.045
+
+    def test_benchmark_sweep_config_validates(self, tmp_path, capsys, monkeypatch):
+        # the config the benchmark's sweep_entrain workload writes must stay one the reader accepts
+        spec = importlib.util.spec_from_file_location("workloads", REPO_ROOT / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look themselves up there
+        spec.loader.exec_module(workloads)
+        path = tmp_path / "entrain.cfg"
+        path.write_text(workloads.entrainment_sweep_config(*workloads.sweep_grid(3), tmp_path / "sweep"))
+        assert cli.main(["validate", str(path)]) == cli.EXIT_OK
+        assert capsys.readouterr().out == "0 diagnostic(s)\n"
 
 
 class TestValidateConfig:
@@ -369,14 +395,14 @@ class TestSweep:
         assert lines[1].split(",")[2] == ""  # empty metrics for diverged cell
 
     def test_unknown_sweep_field(self):
-        # only dataclass fields are sweepable, not other attributes of the protocol
+        # only dataclass fields are sweepable, not other attributes of the protocol;
+        # the config rejects such a sweep when it is built, before any cell runs
         for field in ("protocol.zeta", "protocol.__init__", "protocol.add_coupling"):
-            cfg = dataclasses.replace(
-                runner.preset_config("rocking6-fsc"),
-                sweep=runner.SweepSpec(field=field, values=(0.1,)),
-            )
-            with pytest.raises(runner.ConfigError):
-                runner.run_sweep(cfg)
+            with pytest.raises(runner.ConfigError, match=re.escape(field)):
+                dataclasses.replace(
+                    runner.preset_config("rocking6-fsc"),
+                    sweep=runner.SweepSpec(field=field, values=(0.1,)),
+                )
 
     def test_rejected_swept_value_exits_config(self, tmp_path, capsys):
         path = tmp_path / "sweep.cfg"
@@ -414,7 +440,8 @@ COMPLETE_WEIGHTS = "weights =\n    0 1\n    1 0"
 ROW1 = "    0.46 1.16 0.58 0.31 -1.4 0.3"
 
 # Inputs that break the run contract: (CLI flags, (old, new) edit of the config
-# file or None, section the error must name).
+# file or None, text the error must hold: the section, and the option when the
+# fault is an option nothing reads).
 CONTRACT_INPUTS = [
     pytest.param(["--duration", "-1"], None, "[simulation]", id="duration-negative"),
     pytest.param(["--duration", "0.02"], None, "[simulation]", id="three-samples"),
@@ -433,6 +460,16 @@ CONTRACT_INPUTS = [
     pytest.param([], (ROW1, ROW1.replace("0.31", "inf")), "[nodes]", id="omega-inf"),
     pytest.param([], (ROW1, ROW1.replace("-1.4", "nan")), "[nodes]", id="pos0-nan"),
     pytest.param([], ("values = 0.1 0.2", "values = nan 0.2"), "[sweep]", id="sweep-value-nan"),
+    pytest.param([], ("values = 0.1 0.2", "values = 0.1 -0.2"), "[sweep]", id="sweep-value-negative"),
+    pytest.param([], ("field = protocol.c", "field = protocol.cc"), "[sweep]", id="sweep-field-unknown"),
+    pytest.param([], ("c = 0.15", "c = 0.15\ncc = 9"), "[protocol] cc", id="unread-protocol-cc"),
+    pytest.param([], ("c = 0.15", "c = 0.15\nc1 = 0.1"), "[protocol] c1", id="unread-c1-full-state"),
+    pytest.param([], ("[simulation]", "[entrainment]\nenabled = true\namplitud = 0.3\n\n[simulation]"),
+                 "[entrainment] amplitud", id="unread-entrainment-amplitud"),
+    pytest.param([], ("[simulation]", "[simulaton]"), "[simulaton] duration", id="unread-section-simulaton"),
+    pytest.param([], ("field = protocol.c", "feild = protocol.c"), "[sweep] feild", id="unread-sweep-feild"),
+    pytest.param([], ("[network]\n", "[network]\npreset = complete\n"), "[network] preset",
+                 id="unread-preset-beside-weights"),
     pytest.param([], ("[output]", "[bounds]\np11 = 0\n\n[output]"), "[bounds]", id="p11-zero"),
     pytest.param([], ("[output]", "[bounds]\nw11 = -1\n\n[output]"), "[bounds]", id="w11-negative"),
     pytest.param([], ("[output]", "[bounds]\nz1_max = 0\n\n[output]"), "[bounds]", id="z1-max-zero"),
@@ -650,7 +687,7 @@ class TestCliProperty:
             assert re.search(r"\[[a-z]+\]", err.getvalue()), err.getvalue()
 
 
-REFERENCE_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "reference_run_presets.json"
+REFERENCE_PATH = REPO_ROOT / "perfbench" / "reference_run_presets.json"
 PRESET_FIXTURES = {
     "rocking6-nc": "rocking6_nc",
     "rocking6-fsc": "rocking6_fsc",
