@@ -20,7 +20,6 @@ from .bounds import (
     contraction_window,
     m_bar,
     quad_cbar_direct,
-    quad_cbar_minimized,
     quad_certificate,
     quad_epsilon_direct,
     virtual_jacobian,

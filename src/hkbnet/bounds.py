@@ -65,39 +65,28 @@ class AveragedParams:
 
 @dataclass(frozen=True)
 class ContractionWindow:
-    """Coupling window certifying bounded synchronization via contraction.
+    """Coupling window (c_lo, c_hi) certifying bounded synchronization via contraction.
 
-    Only valid for full-state coupling on an unweighted complete graph of
-    n_nodes nodes (is_complete_unweighted); large_n_* gives the limit window
-    as the node count grows.  feasible is False when the window is empty, which merely means the
-    sufficient condition is silent.
+    Only valid for full-state coupling on an unweighted complete graph
+    (is_complete_unweighted).  feasible is False when the window is empty,
+    which merely means the sufficient condition is silent.
     """
 
     c_lo: float
     c_hi: float
     feasible: bool
-    large_n_c_lo: float
-    large_n_c_hi: float
-    large_n_feasible: bool
-    n_nodes: int
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class QuadCertificate:
-    """Lyapunov certificate: shape matrices, minimum coupling, error bound.
+    """Lyapunov certificate: minimum coupling c_bar and asymptotic error bound epsilon.
 
-    p and w are the diagonals of the 2x2 shape matrices; epsilon is absent
-    when no coupling strength was supplied or the side condition fails at
-    the supplied one.
+    epsilon is absent when no coupling strength or state bounds were
+    supplied, or when the side condition fails at the supplied strength.
     """
 
-    p: np.ndarray
-    w: np.ndarray
-    coupling_shape: np.ndarray
-    lambda2: float
     c_bar: float
     epsilon: float | None
-    m_bound: float | None
 
 
 def contraction_window(
@@ -119,15 +108,7 @@ def contraction_window(
     factor = (n_nodes - 1) / n_nodes
     c_lo = factor * threshold
     c_hi = factor
-    return ContractionWindow(
-        c_lo=c_lo,
-        c_hi=c_hi,
-        feasible=c_lo < c_hi,
-        large_n_c_lo=threshold,
-        large_n_c_hi=1.0,
-        large_n_feasible=threshold < 1.0,
-        n_nodes=n_nodes,
-    )
+    return ContractionWindow(c_lo=c_lo, c_hi=c_hi, feasible=c_lo < c_hi)
 
 
 def is_complete_unweighted(topology: Topology) -> bool:
@@ -197,15 +178,6 @@ def _shapes(lambda2: float, gamma: float, p, w11: float, coupling_shape, w22: fl
     return pd, gd, (w22 if w22 is not None else gamma * pd[1])
 
 
-def _cbar(lambda2: float, pd: np.ndarray, gd: np.ndarray, top: float) -> float:
-    return top / (lambda2 * float((pd * gd).min()))
-
-
-def _epsilon(c, lambda2, pd, gd, top, m_bound, n_nodes) -> float | None:
-    gap = c * lambda2 * float((pd * gd).min()) - top
-    return np.sqrt(n_nodes) * m_bound * float(pd.max()) / gap if gap > 0.0 else None
-
-
 def quad_cbar_direct(
     lambda2: float,
     gamma_avg: float,
@@ -221,19 +193,7 @@ def quad_cbar_direct(
     common positive rescaling of p, w11 and w22.
     """
     pd, gd, w22 = _shapes(lambda2, gamma_avg, p, w11, coupling_shape, w22)
-    return _cbar(lambda2, pd, gd, max(w11, w22))
-
-
-def quad_cbar_minimized(lambda2: float, gamma_avg: float, coupling_shape=(1.0, 1.0)) -> float:
-    """Bound minimized over the shape matrices: gamma_avg / (lambda2 * min shape).
-
-    Attained in the limit w11 -> 0 with p11 >= p22; only meaningful for
-    positive gamma_avg.
-    """
-    if gamma_avg <= 0.0:
-        raise BoundInapplicableError("minimized bound assumes a positive common damping")
-    # with p = I and w11 = w22 = gamma_avg the direct bound is exactly this limit
-    return quad_cbar_direct(lambda2, gamma_avg, (1.0, 1.0), gamma_avg, coupling_shape)
+    return max(w11, w22) / (lambda2 * float((pd * gd).min()))
 
 
 def quad_epsilon_direct(
@@ -257,7 +217,8 @@ def quad_epsilon_direct(
     if n_nodes < 2:
         raise ValueError("need at least two nodes")
     pd, gd, w22 = _shapes(lambda2, gamma_avg, p, w11, coupling_shape, w22)
-    return _epsilon(c, lambda2, pd, gd, max(w11, w22), m_bound, n_nodes)
+    gap = c * lambda2 * float((pd * gd).min()) - max(w11, w22)
+    return np.sqrt(n_nodes) * m_bound * float(pd.max()) / gap if gap > 0.0 else None
 
 
 def quad_certificate(
@@ -274,27 +235,18 @@ def quad_certificate(
     """Full Lyapunov certificate for a network with spectral gap lambda2.
 
     Rejects nodes without a common gamma (the decomposition behind the
-    certificate needs one shared linear term).  epsilon is filled in when a
-    coupling strength is given and the side condition holds at it; the
-    remainder bound needs pos_max and vel_max (typically measured from a
-    pilot run).
+    certificate needs one shared linear term), then evaluates
+    quad_cbar_direct and quad_epsilon_direct at that gamma.  epsilon is
+    filled in when a coupling strength c and the state bounds pos_max and
+    vel_max (typically measured from a pilot run, for m_bar) are given and
+    the side condition holds at c.
     """
     gamma = common_gamma(params)
     if gamma is None:
         raise BoundInapplicableError("certificate requires identical gamma across nodes")
-    pd, gd, w22 = _shapes(lambda2, gamma, p, w11, coupling_shape, w22)
-    top = max(w11, w22)
-    m_bound = epsilon = None
-    if pos_max is not None and vel_max is not None:
+    c_bar = quad_cbar_direct(lambda2, gamma, p, w11, coupling_shape, w22)
+    epsilon = None
+    if c is not None and pos_max is not None and vel_max is not None:
         m_bound = m_bar(params, pos_max, vel_max)
-        if c is not None:
-            epsilon = _epsilon(c, lambda2, pd, gd, top, m_bound, len(params))
-    return QuadCertificate(
-        p=pd,
-        w=np.array([w11, w22]),
-        coupling_shape=gd,
-        lambda2=lambda2,
-        c_bar=_cbar(lambda2, pd, gd, top),
-        epsilon=epsilon,
-        m_bound=m_bound,
-    )
+        epsilon = quad_epsilon_direct(c, lambda2, gamma, p, w11, coupling_shape, m_bound, len(params), w22)
+    return QuadCertificate(c_bar=c_bar, epsilon=epsilon)

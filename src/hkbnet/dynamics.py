@@ -157,11 +157,6 @@ class Entrainment:
         if not 0.0 < self.frequency < math.inf:
             raise ValueError("frequency must be positive and finite")
 
-    def signal(self, t: float) -> float:
-        if not self.enabled:
-            return 0.0
-        return self.amplitude * math.sin(self.frequency * t)
-
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
@@ -241,7 +236,7 @@ def network_field(
         out[:, 1] = -(alpha * pos * pos + beta * vel * vel - gamma) * vel - omega_sq * pos
         add_coupling(out, x, lap, weights, counts)
         if entrainment.enabled:
-            out[:, 1] += entrainment.signal(t)
+            out[:, 1] += entrainment.amplitude * math.sin(entrainment.frequency * t)
         return out
 
     return rhs
@@ -298,7 +293,8 @@ def integrate(
         k3 = rhs(t + half, x + half * k2)
         k4 = rhs(t + dt, x + dt * k3)
         x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        if not np.all(np.isfinite(x)) or np.abs(x).max() > STATE_MAGNITUDE_LIMIT:
+        # NaN compares false, so this catches it along with inf and runaway growth
+        if not np.abs(x).max() <= STATE_MAGNITUDE_LIMIT:
             raise DivergenceError(f"state left trusted region at step {k}", step=k)
         states[k] = x
     return Trajectory(dt=dt, times=np.arange(steps + 1) * dt, states=states)

@@ -1,8 +1,8 @@
 """Simple undirected weighted graphs and the spectra used by the coupling bounds.
 
 Eigenvalues come from numpy's symmetric solver.  The neighbor-normalized
-Laplacian is asymmetric; its spectrum is obtained through a diagonal
-similarity transform that restores symmetry.
+Laplacian is asymmetric; neighbor_lambda2 obtains its spectrum through a
+diagonal similarity transform that restores symmetry.
 """
 
 from __future__ import annotations
@@ -167,39 +167,29 @@ def normalized_neighbor_laplacian(topology: Topology) -> np.ndarray:
     return laplacian(topology) / counts[:, None]
 
 
-def spectrum(matrix: np.ndarray, symmetric_similarity_hint: np.ndarray | None = None) -> SpectrumResult:
-    """All eigenvalues of a real matrix known to have a real spectrum.
+def spectrum(matrix: np.ndarray) -> SpectrumResult:
+    """All eigenvalues of a real symmetric matrix (to within 1e-12 of its largest entry).
 
-    Symmetric input is solved directly.  Asymmetric input must come with a
-    positive diagonal hint d such that diag(d)^(1/2) @ m @ diag(d)^(-1/2) is
-    symmetric (the neighbor-normalized Laplacian with d set to the neighbor
-    counts is the motivating case).
+    Raises ValueError for a matrix that is not square, smaller than 2x2, or
+    asymmetric.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
     if m.shape[0] < 2:
         raise ValueError("spectrum needs at least a 2x2 matrix")
-    scale = max(1.0, float(np.abs(m).max()))
-    if symmetric_similarity_hint is None:
-        if np.abs(m - m.T).max() > 1e-12 * scale:
-            raise ValueError("asymmetric matrix requires a similarity hint")
-        sym = 0.5 * (m + m.T)
-    else:
-        d = np.asarray(symmetric_similarity_hint, dtype=float).reshape(-1)
-        if d.shape[0] != m.shape[0] or np.any(d <= 0.0):
-            raise ValueError("similarity hint must be a positive diagonal of matching size")
-        root = np.sqrt(d)
-        sym = root[:, None] * m / root[None, :]
-        if np.abs(sym - sym.T).max() > 1e-9 * scale:
-            raise ValueError("similarity hint does not symmetrize the matrix")
-        sym = 0.5 * (sym + sym.T)
-    eigs = np.linalg.eigvalsh(sym)
+    if np.abs(m - m.T).max() > 1e-12 * max(1.0, float(np.abs(m).max())):
+        raise ValueError("matrix must be symmetric")
+    eigs = np.linalg.eigvalsh(0.5 * (m + m.T))
     return SpectrumResult(eigenvalues=eigs, lambda2=float(eigs[1]))
 
 
 def neighbor_lambda2(topology: Topology) -> float:
-    """lambda2 of the neighbor-normalized Laplacian, the spectral gap both certificates use."""
-    ln = normalized_neighbor_laplacian(topology)
-    return spectrum(ln, symmetric_similarity_hint=topology.neighbor_counts).lambda2
+    """lambda2 of the neighbor-normalized Laplacian, the spectral gap both certificates use.
+
+    With D the neighbor counts, D^(1/2) (D^-1 L) D^(-1/2) is symmetric up to
+    rounding and similar to D^-1 L, so it has the same eigenvalues.
+    """
+    root = np.sqrt(topology.neighbor_counts)
+    return spectrum(root[:, None] * normalized_neighbor_laplacian(topology) / root[None, :]).lambda2
 

@@ -53,20 +53,23 @@ rows on indented continuation lines):
 
 Each section's defaults are those of the dataclass it builds, and every
 number must be finite.  Every RunConfig, however it is built (preset,
-file, CLI override or sweep cell), is checked on construction: 0 < dt <=
-duration, dt divides the duration, the grid holds at least 4 samples and
-no more than one array can address, no node is isolated under a coupled
-protocol, and every sweep cell passes these checks.  Every option of a
-config file must be read: one that is misspelt, in an unknown section, or
-unused beside the others (preset beside weights) is an error.  A violation
-raises ConfigError naming the section and field, which the CLI turns into
-exit status 2.
+file, CLI override or sweep cell), is checked on construction: one
+parameter set and one finite (pos, vel) row per node, 0 < dt <= duration,
+dt divides the duration, the grid holds at least 4 samples and no more
+than one array can address, no node is isolated under a coupled protocol,
+and every sweep cell passes these checks.  Every section and option of a
+config file must be read: a misspelt section (even an empty one, or
+[DEFAULT], which is not special here), a misspelt option, or one unused
+beside the others (preset beside weights) is an error.  A violation raises
+ConfigError naming the section and field, which the CLI turns into exit
+status 2.
 
-write_outputs emits a run's bundle: four per-sample files (trajectory.csv,
-phases.csv, rho_g_series.csv, eta_series.csv), written a fixed block of
-samples at a time so emission memory does not grow with the duration, and
-sync_report.csv and bounds.csv.  sweep writes sweep.csv, where a diverged
-cell's metrics are empty fields.  All emitted CSVs are UTF-8 with LF line
+write_outputs emits a run's bundle into the config's out_dir: four
+per-sample files (trajectory.csv, phases.csv, rho_g_series.csv,
+eta_series.csv), written a fixed block of samples at a time so emission
+memory does not grow with the duration, and sync_report.csv and
+bounds.csv.  sweep writes sweep.csv there, where a diverged cell's metrics
+are empty fields.  All emitted CSVs are UTF-8 with LF line
 endings, one header row, and reals printed with 9 significant digits.
 Runs are deterministic: an identical config reproduces byte-identical files.
 """
@@ -173,6 +176,14 @@ class RunConfig:
     bounds: BoundsOptions = BoundsOptions()
 
     def __post_init__(self):
+        n = self.topology.n
+        if len(self.params) != n:
+            raise ConfigError(f"[nodes] got {len(self.params)} parameter sets for {n} nodes")
+        states = np.asarray(self.initial_states, dtype=float)
+        if states.shape != (n, 2):
+            raise ConfigError(f"[nodes] initial states have shape {states.shape}, not ({n}, 2)")
+        if not np.all(np.isfinite(states)):
+            raise ConfigError("[nodes] initial states must be finite")
         try:
             samples = step_count(self.duration, self.dt) + 1
         except ValueError as exc:
@@ -181,8 +192,8 @@ class RunConfig:
         if samples < 4:
             raise ConfigError(f"{grid}, but phase extraction needs at least 4")
         # integrate stores every sample in one (samples, n, 2) float64 array
-        if samples * self.topology.n * 16 > np.iinfo(np.intp).max:
-            raise ConfigError(f"{grid}, more than one array can hold for {self.topology.n} nodes")
+        if samples * n * 16 > np.iinfo(np.intp).max:
+            raise ConfigError(f"{grid}, more than one array can hold for {n} nodes")
         isolated = np.flatnonzero(self.topology.neighbor_counts == 0)
         if isolated.size and not isinstance(self.protocol, NoCoupling):
             raise ConfigError(
@@ -219,14 +230,13 @@ class SweepCell:
 # ---------------------------------------------------------------------------
 
 
-def _rocking6(label: str, protocol: CouplingProtocol, entrainment: Entrainment = Entrainment()) -> RunConfig:
+def _rocking6(label: str, protocol: CouplingProtocol) -> RunConfig:
     return RunConfig(
         label=label,
         topology=presets.rocking6_topology(),
         params=presets.ROCKING6_PARAMS,
         initial_states=presets.ROCKING6_INITIAL,
         protocol=protocol,
-        entrainment=entrainment,
     )
 
 
@@ -302,7 +312,9 @@ def _parse_values(text: str, section: str, option: str) -> tuple[float, ...]:
 
 def _read_parser(path: Path) -> dict[str, dict[str, str]]:
     """Read the config file at path as {section: {option: text}}."""
-    cfg = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
+    # No header can name the empty section, so [DEFAULT] is an ordinary (and
+    # unknown) section rather than defaults copied into every other one.
+    cfg = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None, default_section="")
     try:
         with open(path, "r", encoding="utf-8") as handle:
             cfg.read_file(handle)
@@ -314,14 +326,30 @@ def _read_parser(path: Path) -> dict[str, dict[str, str]]:
 
 
 def _take(sections, name, option, default=None):
-    """Remove option from section [name] and return its text, or default when absent or blank."""
-    return sections.get(name, {}).pop(option, "").strip() or default
+    """Remove option from section [name] and return its text, or default when absent or blank.
+
+    A section this leaves empty is removed, so a section still present once
+    every read is done holds an option no read took, or no read looked at it.
+    """
+    section = sections.get(name, {})
+    text = section.pop(option, "").strip()
+    if not section:
+        sections.pop(name, None)
+    return text or default
 
 
 def _reject_unread(sections, *names):
-    """Raise ConfigError naming the first option no read took, in [names] or else in any section."""
+    """Raise ConfigError if a read left anything of [names], or else of any section.
+
+    A section left with options is named with its first option.  One left
+    empty was never looked at (_take removes the sections it empties), so it
+    is unknown.
+    """
     for name in names or sections:
-        for option in sections.get(name, ()):
+        if name in sections:
+            option = next(iter(sections[name]), None)
+            if option is None:
+                raise ConfigError(f"[{name}]: unknown section")
             raise ConfigError(f"[{name}] {option}: unknown or unused option")
 
 
@@ -393,10 +421,6 @@ def load_config(source: str | Path) -> RunConfig:
     table = _parse_matrix(_take(sections, "nodes", "table", ""), "nodes", "table")
     if table.shape[1] != 6:
         raise ConfigError("[nodes] table rows must hold: alpha beta gamma omega pos0 vel0")
-    if table.shape[0] != topology.n:
-        raise ConfigError(
-            f"[nodes] table has {table.shape[0]} rows but the topology has {topology.n} nodes"
-        )
     try:
         params = tuple(OscillatorParams(*row[:4]) for row in table)
     except ValueError as exc:
@@ -428,22 +452,13 @@ def load_config(source: str | Path) -> RunConfig:
     return config
 
 
-def validate_config(source: str | Path | RunConfig) -> list[str]:
-    """Collect diagnostics without running anything.
+def validate_config(cfg: RunConfig) -> list[str]:
+    """Collect diagnostics on a valid configuration without running anything.
 
-    Returns an empty list for a healthy configuration.  Structural problems
-    that prevent even building the configuration surface as a single parse
-    diagnostic rather than an exception.
+    Returns an empty list for a healthy configuration.  An invalid one never
+    gets here: building the RunConfig (or load_config) raised ConfigError.
     """
     diagnostics: list[str] = []
-    if isinstance(source, RunConfig):
-        cfg = source
-    else:
-        try:
-            cfg = load_config(source)
-        except ConfigError as exc:
-            return [f"parse: {exc}"]
-
     if not cfg.topology.is_connected():
         diagnostics.append("network: topology is not connected")
     strengths = strength_fields(cfg.protocol)
@@ -667,9 +682,9 @@ def _write_per_sample(path: Path, header: Sequence[str], times: np.ndarray, *col
     return path
 
 
-def write_outputs(result: RunResult, out_dir: str | Path | None = None) -> RunResult:
-    """Write the full artifact bundle for one run and record the paths."""
-    base = Path(out_dir if out_dir is not None else result.config.out_dir)
+def write_outputs(result: RunResult) -> RunResult:
+    """Write the full artifact bundle for one run into its config's out_dir and record the paths."""
+    base = Path(result.config.out_dir)
     times = result.trajectory.times
     states = result.trajectory.states
     report = result.report
@@ -708,15 +723,15 @@ def write_bounds_csv(rows, out_dir: str | Path) -> Path:
     return _write_csv(Path(out_dir) / "bounds.csv", ("quantity", "value"), rows)
 
 
-def run(config: RunConfig, out_dir: str | Path | None = None) -> RunResult:
-    """Simulate one configuration and write its artifact bundle."""
-    return write_outputs(simulate(config), out_dir)
+def run(config: RunConfig) -> RunResult:
+    """Simulate one configuration and write its artifact bundle into config.out_dir."""
+    return write_outputs(simulate(config))
 
 
-def sweep(config: RunConfig, out_dir: str | Path | None = None) -> list[SweepCell]:
-    """Run the sweep grid and write the long-form sweep.csv."""
+def sweep(config: RunConfig) -> list[SweepCell]:
+    """Run the sweep grid and write the long-form sweep.csv into config.out_dir."""
     cells = run_sweep(config)
-    base = Path(out_dir if out_dir is not None else config.out_dir)
+    base = Path(config.out_dir)
     rows = []
     for cell in cells:
         rows.append(

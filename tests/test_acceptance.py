@@ -303,7 +303,7 @@ class TestCriterion9Properties:
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = dataclasses.replace(runner.preset_config("validation5"), duration=3.0)
-        a = runner.run(cfg, out_dir=tmp_path / "a")
-        b = runner.run(cfg, out_dir=tmp_path / "b")
+        a = runner.run(dataclasses.replace(cfg, out_dir=str(tmp_path / "a")))
+        b = runner.run(dataclasses.replace(cfg, out_dir=str(tmp_path / "b")))
         ok = all(pa.read_bytes() == pb.read_bytes() for pa, pb in zip(a.written, b.written))
         _criterion(9, "byte-identical reruns", ok)

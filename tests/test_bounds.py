@@ -14,7 +14,6 @@ from hkbnet.bounds import (
     is_complete_unweighted,
     m_bar,
     quad_cbar_direct,
-    quad_cbar_minimized,
     quad_certificate,
     quad_epsilon_direct,
     virtual_jacobian,
@@ -50,14 +49,6 @@ class TestContractionWindow:
         assert win.c_lo > win.c_hi
         assert not win.feasible
 
-    def test_large_n_window(self):
-        avg = AveragedParams(alpha=0.1, beta=1.0, gamma=0.2, omega=0.3)
-        win = contraction_window(avg, 1.0, 1.0, 10)
-        threshold = 2 * 0.1 + 0.09 + 0.2
-        assert win.large_n_c_lo == pytest.approx(threshold)
-        assert win.large_n_c_hi == 1.0
-        assert win.large_n_feasible
-
     def test_upper_edge_below_one(self):
         avg = AveragedParams(alpha=0.0, beta=1.0, gamma=0.01, omega=0.05)
         for n in (2, 3, 10, 100):
@@ -67,7 +58,7 @@ class TestContractionWindow:
         # a zero bound (a network at rest) is a state bound like any other, as in m_bar
         avg = AveragedParams(alpha=0.1, beta=1.0, gamma=0.2, omega=0.3)
         assert contraction_window(avg, 0.0, 1.0, 4).c_lo == pytest.approx(0.75 * (0.09 + 0.2))
-        assert contraction_window(avg, 0.0, 0.0, 4).large_n_c_lo == pytest.approx(0.09 + 0.2)
+        assert contraction_window(avg, 0.0, 0.0, 4).c_lo == pytest.approx(0.75 * (0.09 + 0.2))
         with pytest.raises(InvalidBoundError):
             contraction_window(avg, -1e-12, 1.0, 4)
         with pytest.raises(InvalidBoundError):
@@ -160,7 +151,6 @@ class TestQuadCbar:
         lam2, gamma = 0.4112, 0.58
         direct = quad_cbar_direct(lam2, gamma, (1.0, 1.0), 1e-12, (1.0, 1.0))
         assert direct == pytest.approx(gamma / lam2)
-        assert quad_cbar_minimized(lam2, gamma) == pytest.approx(gamma / lam2)
 
     def test_invariant_under_uniform_scaling(self):
         base = quad_cbar_direct(0.5, 0.58, (0.3, 0.2), 0.01, (1.0, 2.0))
@@ -231,11 +221,10 @@ class TestQuadCertificate:
             neighbor_lambda2(complete_graph(5, 1.0)), VALIDATION5_PARAMS, p=(0.077, 0.077), w11=0.001,
             c=2.0, pos_max=2.6, vel_max=0.96,
         )
-        assert cert.lambda2 == pytest.approx(1.25)
-        assert cert.m_bound == pytest.approx(m_bar(VALIDATION5_PARAMS, 2.6, 0.96))
-        assert cert.epsilon is not None and cert.epsilon > 0.0
-        assert np.all(cert.p > 0.0)
-        assert cert.w[1] == pytest.approx(0.58 * 0.077)
+        # lambda2 = 5/4 for K5, and w22 defaults to gamma * p22 = 0.58 * 0.077
+        assert cert.c_bar == pytest.approx(0.58 * 0.077 / (1.25 * 0.077))
+        gap = 2.0 * 1.25 * 0.077 - 0.58 * 0.077
+        assert cert.epsilon == pytest.approx(np.sqrt(5.0) * m_bar(VALIDATION5_PARAMS, 2.6, 0.96) * 0.077 / gap)
 
     def test_epsilon_absent_below_side_condition(self):
         cert = quad_certificate(

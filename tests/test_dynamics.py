@@ -7,6 +7,7 @@ import pytest
 
 from hkbnet import runner
 from hkbnet.dynamics import (
+    STATE_MAGNITUDE_LIMIT,
     DivergenceError,
     Entrainment,
     FullState,
@@ -308,10 +309,20 @@ class TestIntegrate:
         # positive gamma with no amplitude limiting grows without bound
         unstable = OscillatorParams(0.0, 0.0, 6.0, 0.1)
         top = complete_graph(2, 1.0)
+        x0 = [[0.1, 0.0], [0.1, 0.0]]
         with pytest.raises(DivergenceError) as err:
-            integrate([unstable, unstable], top, NoCoupling(), [[0.1, 0.0], [0.1, 0.0]], 10.0, 0.01)
-        assert err.value.step is not None
-        assert str(err.value.step) in str(err.value)
+            integrate([unstable, unstable], top, NoCoupling(), x0, 10.0, 0.01)
+        step = err.value.step
+        assert step is not None
+        assert f"at step {step}" in str(err.value)
+        # the step before it is the last one inside the limit
+        traj = integrate([unstable, unstable], top, NoCoupling(), x0, (step - 1) * 0.01, 0.01)
+        assert np.abs(traj.states).max() <= STATE_MAGNITUDE_LIMIT
+        # a first step that overflows to nan is caught at step 1
+        huge = OscillatorParams(1e308, 1e308, 0.0, 1.0)
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError) as err:
+            integrate([huge, huge], top, NoCoupling(), [[1e3, 1e3], [1e3, 1e3]], 1.0, 0.01)
+        assert err.value.step == 1
 
     @pytest.mark.parametrize("protocol", ALL_PROTOCOLS[1:])
     def test_synchronization_manifold_is_invariant(self, protocol):

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hkbnet import cli, runner
-from hkbnet.dynamics import FullState, HkbCoupling, NoCoupling, PartialState
+from hkbnet.dynamics import Entrainment, FullState, HkbCoupling, NoCoupling, PartialState
 from hkbnet.presets import (
     ROCKING6_INITIAL,
     ROCKING6_PARAMS,
@@ -145,6 +145,24 @@ class TestConfigParsing:
             runner.load_config(path)
         assert "2 nodes" in str(err.value)
 
+    def test_empty_known_sections_load(self, tmp_path):
+        # an empty [bounds] is a certificate request, an empty [entrainment] takes every default
+        path = tmp_path / "empty.cfg"
+        path.write_text(GOOD_CONFIG + "\n[bounds]\n\n[entrainment]\n")
+        cfg = runner.load_config(path)
+        assert cfg.bounds == runner.BoundsOptions(quad=True)
+        assert cfg.entrainment == Entrainment()
+
+    @pytest.mark.parametrize("field, value, message", [
+        pytest.param("params", ROCKING6_PARAMS[:5], "got 5 parameter sets for 6 nodes", id="params"),
+        pytest.param("initial_states", ROCKING6_INITIAL[:, :1], "initial states have shape (6, 1), not (6, 2)",
+                     id="states-shape"),
+        pytest.param("initial_states", np.full((6, 2), np.nan), "initial states must be finite", id="states-nan"),
+    ])
+    def test_node_table_checked_on_construction(self, field, value, message):
+        with pytest.raises(runner.ConfigError, match=re.escape(f"[nodes] {message}")):
+            dataclasses.replace(runner.preset_config("rocking6-fsc"), **{field: value})
+
     def test_complete_shorthand(self, tmp_path):
         path = tmp_path / "complete.cfg"
         path.write_text(
@@ -191,14 +209,13 @@ class TestValidateConfig:
     def test_asymmetric_matrix_diagnostic(self, tmp_path):
         path = tmp_path / "asym.cfg"
         path.write_text(GOOD_CONFIG.replace("    0 1\n    1 0", "    0 1\n    2 0"))
-        diagnostics = runner.validate_config(path)
-        assert len(diagnostics) == 1
-        assert "symmetric" in diagnostics[0]
+        with pytest.raises(runner.ConfigError, match=r"\[network\] weights: .*symmetric"):
+            runner.load_config(path)
 
     def test_heterogeneous_gamma_with_quad_request(self, tmp_path):
         path = tmp_path / "quad.cfg"
         path.write_text(GOOD_CONFIG + "\n[bounds]\nquad = true\n")
-        diagnostics = runner.validate_config(path)
+        diagnostics = runner.validate_config(runner.load_config(path))
         assert any("gamma" in d for d in diagnostics)
 
     def test_no_spectral_gap_with_quad_request(self, tmp_path):
@@ -210,7 +227,7 @@ class TestValidateConfig:
                      "\n    0.34 1.73 0.58 0.37 -1.8 -0.3")
             + "\n[bounds]\nquad = true\n"
         )
-        assert runner.validate_config(path) == [
+        assert runner.validate_config(runner.load_config(path)) == [
             "bounds: quad bound requested but lambda2 = 6.67e-11 leaves no spectral gap "
             "(certificate inapplicable)"
         ]
@@ -229,16 +246,15 @@ class TestValidateConfig:
             dataclasses.replace(runner.preset_config("rocking6-nc"), duration=1.0, dt=0.3)
         path = tmp_path / "grid.cfg"
         path.write_text(GOOD_CONFIG.replace("dt = 0.01", "dt = 0.3"))
-        diagnostics = runner.validate_config(path)
-        assert len(diagnostics) == 1
-        assert diagnostics[0].startswith("parse: [simulation]") and "divide" in diagnostics[0]
+        with pytest.raises(runner.ConfigError, match=r"\[simulation\] dt=0.3 does not divide"):
+            runner.load_config(path)
 
 
 @pytest.fixture(scope="module")
 def short_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("run")
-    cfg = dataclasses.replace(runner.preset_config("validation5"), duration=5.0)
-    return runner.run(cfg, out_dir=out), out
+    cfg = dataclasses.replace(runner.preset_config("validation5"), duration=5.0, out_dir=str(out))
+    return runner.run(cfg), out
 
 
 class TestRunOutputs:
@@ -284,8 +300,8 @@ class TestRunOutputs:
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = dataclasses.replace(runner.preset_config("rocking6-fsc"), duration=3.0)
-        a = runner.run(cfg, out_dir=tmp_path / "a")
-        b = runner.run(cfg, out_dir=tmp_path / "b")
+        a = runner.run(dataclasses.replace(cfg, out_dir=str(tmp_path / "a")))
+        b = runner.run(dataclasses.replace(cfg, out_dir=str(tmp_path / "b")))
         for pa, pb in zip(a.written, b.written):
             assert pa.read_bytes() == pb.read_bytes(), pa.name
 
@@ -304,6 +320,16 @@ class TestRunOutputs:
         assert code == cli.EXIT_OK
         got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
         assert got == expected
+
+    @pytest.mark.parametrize("verb", ["bounds", "run"])
+    def test_validation5_bounds_digest(self, verb, tmp_path):
+        # sha256 of bounds.csv, with its lambda2 and Lyapunov rows, as written
+        # before the certificate went through quad_cbar_direct and quad_epsilon_direct
+        with redirect_stdout(io.StringIO()):
+            code = cli.main([verb, "validation5", "--duration", "2", "--out-dir", str(tmp_path)])
+        assert code == cli.EXIT_OK
+        digest = hashlib.sha256((tmp_path / "bounds.csv").read_bytes()).hexdigest()
+        assert digest == "c94a4e024634e0b46b5c17649ae449cc81a042daa7f5e074e50c66023a8bbb4b"
 
 
 def _row_writer(path, header, rows):
@@ -351,8 +377,9 @@ class TestSweep:
             base,
             duration=5.0,
             sweep=runner.SweepSpec(field="protocol.c", values=(0.05, 0.15)),
+            out_dir=str(tmp_path),
         )
-        cells = runner.sweep(cfg, out_dir=tmp_path)
+        cells = runner.sweep(cfg)
         assert [c.value1 for c in cells] == [0.05, 0.15]
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert lines[0] == "param1,param2,rho_g_mean,rho_g_std,rho_E"
@@ -387,8 +414,8 @@ class TestSweep:
             "[simulation]\nduration = 10\ndt = 0.01\n\n"
             "[sweep]\nfield = protocol.c\nvalues = 0.01 0.02\n"
         )
-        cfg = runner.load_config(path)
-        cells = runner.sweep(cfg, out_dir=tmp_path)
+        cfg = dataclasses.replace(runner.load_config(path), out_dir=str(tmp_path))
+        cells = runner.sweep(cfg)
         assert len(cells) == 2
         assert all(c.report is None for c in cells)
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
@@ -467,6 +494,8 @@ CONTRACT_INPUTS = [
     pytest.param([], ("[simulation]", "[entrainment]\nenabled = true\namplitud = 0.3\n\n[simulation]"),
                  "[entrainment] amplitud", id="unread-entrainment-amplitud"),
     pytest.param([], ("[simulation]", "[simulaton]"), "[simulaton] duration", id="unread-section-simulaton"),
+    pytest.param([], ("[output]", "[bound]\n\n[output]"), "[bound]", id="unread-empty-section-bound"),
+    pytest.param([], ("[run]", "[DEFAULT]\ndt = 0.01\n\n[run]"), "[DEFAULT] dt", id="unread-default-section"),
     pytest.param([], ("field = protocol.c", "feild = protocol.c"), "[sweep] feild", id="unread-sweep-feild"),
     pytest.param([], ("[network]\n", "[network]\npreset = complete\n"), "[network] preset",
                  id="unread-preset-beside-weights"),
