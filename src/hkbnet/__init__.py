@@ -11,18 +11,13 @@ Submodules:
 """
 
 from .bounds import (
-    AveragedParams,
-    BoundInapplicableError,
     ContractionWindow,
-    InvalidBoundError,
     QuadCertificate,
-    UndefinedBoundError,
     contraction_window,
     m_bar,
     quad_cbar_direct,
     quad_certificate,
     quad_epsilon_direct,
-    virtual_jacobian,
 )
 from .dynamics import (
     CouplingProtocol,
@@ -40,8 +35,6 @@ from .dynamics import (
     state_extrema,
 )
 from .graph import (
-    DegenerateNodeError,
-    GenerationError,
     SpectrumResult,
     Topology,
     TopologyError,
@@ -53,7 +46,6 @@ from .graph import (
     spectrum,
 )
 from .metrics import (
-    EntrainmentUndefinedError,
     RelativePhase,
     SyncReport,
     agent_relative_phase,
@@ -68,7 +60,6 @@ from .metrics import (
 from .phase import (
     DegenerateSignalError,
     PhaseSeries,
-    SignalTooShortError,
     analytic_signal,
     instantaneous_phase,
     phases_from_trajectory,

@@ -30,39 +30,6 @@ from .graph import ZERO_EIGENVALUE_TOL, Topology
 GAMMA_RTOL = 1e-9
 
 
-class InvalidBoundError(ValueError):
-    """A state bound fed into a certificate is negative."""
-
-
-class UndefinedBoundError(ValueError):
-    """The topology gives no spectral gap, so no coupling bound exists."""
-
-
-class BoundInapplicableError(ValueError):
-    """The certificate's hypotheses fail for these inputs (not a numeric failure)."""
-
-
-@dataclass(frozen=True)
-class AveragedParams:
-    """Arithmetic means of the node parameters, used by the virtual system."""
-
-    alpha: float
-    beta: float
-    gamma: float
-    omega: float
-
-    @classmethod
-    def from_nodes(cls, params: Sequence[OscillatorParams]) -> "AveragedParams":
-        if not params:
-            raise ValueError("need at least one parameter set")
-        return cls(
-            alpha=float(np.mean([p.alpha for p in params])),
-            beta=float(np.mean([p.beta for p in params])),
-            gamma=float(np.mean([p.gamma for p in params])),
-            omega=float(np.mean([p.omega for p in params])),
-        )
-
-
 @dataclass(frozen=True)
 class ContractionWindow:
     """Coupling window (c_lo, c_hi) certifying bounded synchronization via contraction.
@@ -90,21 +57,25 @@ class QuadCertificate:
 
 
 def contraction_window(
-    avg: AveragedParams,
+    params: Sequence[OscillatorParams],
     z1_max: float,
     z2_max: float,
-    n_nodes: int,
 ) -> ContractionWindow:
     """Coupling window from the contraction argument on the virtual system.
 
+    The virtual system takes the node-averaged alpha, gamma and omega.
     z1_max and z2_max bound the virtual position and velocity; in practice
     they are taken from a pilot simulation of the same configuration.
     """
+    n_nodes = len(params)
     if n_nodes < 2:
         raise ValueError("need at least two nodes")
     if z1_max < 0.0 or z2_max < 0.0:
-        raise InvalidBoundError("state bounds must be nonnegative")
-    threshold = 2.0 * avg.alpha * z1_max * z2_max + avg.omega ** 2 + avg.gamma
+        raise ValueError("state bounds must be nonnegative")
+    alpha = float(np.mean([p.alpha for p in params]))
+    gamma = float(np.mean([p.gamma for p in params]))
+    omega = float(np.mean([p.omega for p in params]))
+    threshold = 2.0 * alpha * z1_max * z2_max + omega ** 2 + gamma
     factor = (n_nodes - 1) / n_nodes
     c_lo = factor * threshold
     c_hi = factor
@@ -117,26 +88,6 @@ def is_complete_unweighted(topology: Topology) -> bool:
     return bool(np.all(topology.weights[off_diagonal] == 1.0))
 
 
-def virtual_jacobian(z, avg: AveragedParams, c_hat: float, n_nodes: int) -> np.ndarray:
-    """Jacobian of the averaged virtual system at virtual state z = (z1, z2).
-
-    c_hat is the per-neighbor coupling strength c / (n_nodes - 1) of the
-    complete-graph full-state protocol.
-    """
-    z1 = float(z[0])
-    z2 = float(z[1])
-    cn = c_hat * n_nodes
-    return np.array(
-        [
-            [-cn, 1.0],
-            [
-                -(2.0 * avg.alpha * z1 * z2 + avg.omega ** 2),
-                -avg.alpha * z1 * z1 - 3.0 * avg.beta * z2 * z2 - cn + avg.gamma,
-            ],
-        ]
-    )
-
-
 def m_bar(params: Sequence[OscillatorParams], pos_max: float, vel_max: float) -> float:
     """Uniform bound on the affine remainder of the node fields.
 
@@ -144,7 +95,7 @@ def m_bar(params: Sequence[OscillatorParams], pos_max: float, vel_max: float) ->
     given state bounds: (1 + a_M p^2 + b_M v^2) v + w_M^2 p.
     """
     if pos_max < 0.0 or vel_max < 0.0:
-        raise InvalidBoundError("state bounds must be nonnegative")
+        raise ValueError("state bounds must be nonnegative")
     alpha_m = max(abs(p.alpha) for p in params)
     beta_m = max(abs(p.beta) for p in params)
     omega_m = max(abs(p.omega) for p in params)
@@ -172,9 +123,9 @@ def _shapes(lambda2: float, gamma: float, p, w11: float, coupling_shape, w22: fl
     if np.any(pd <= 0.0) or w11 <= 0.0:
         raise ValueError("p and w11 must be positive")
     if np.any(gd <= 0.0):
-        raise BoundInapplicableError("coupling shape must be positive definite here")
+        raise ValueError("coupling shape must be positive definite here")
     if not has_spectral_gap(lambda2):
-        raise UndefinedBoundError("lambda2 is zero; no coupling bound exists")
+        raise ValueError("lambda2 is zero; no coupling bound exists")
     return pd, gd, (w22 if w22 is not None else gamma * pd[1])
 
 
@@ -213,7 +164,7 @@ def quad_epsilon_direct(
     otherwise the certificate says nothing and the result is None.
     """
     if m_bound < 0.0:
-        raise InvalidBoundError("remainder bound must be nonnegative")
+        raise ValueError("remainder bound must be nonnegative")
     if n_nodes < 2:
         raise ValueError("need at least two nodes")
     pd, gd, w22 = _shapes(lambda2, gamma_avg, p, w11, coupling_shape, w22)
@@ -243,7 +194,7 @@ def quad_certificate(
     """
     gamma = common_gamma(params)
     if gamma is None:
-        raise BoundInapplicableError("certificate requires identical gamma across nodes")
+        raise ValueError("certificate requires identical gamma across nodes")
     c_bar = quad_cbar_direct(lambda2, gamma, p, w11, coupling_shape, w22)
     epsilon = None
     if c is not None and pos_max is not None and vel_max is not None:

@@ -1,18 +1,7 @@
-"""Command-line entry point.
+"""Command-line entry point: hkbnet run|sweep|bounds|validate <config>.
 
-    hkbnet run <config>       simulate and write the artifact bundle
-    hkbnet sweep <config>     run the sweep grid and write sweep.csv
-    hkbnet bounds <config>    evaluate the analytic bounds, write bounds.csv
-    hkbnet validate <config>  print configuration diagnostics
-
-<config> is a preset name (rocking6-nc, rocking6-fsc, rocking6-psc,
-rocking6-hkb, validation5) or a path to a config file; --out-dir, --dt and
---duration override its fields.  run, sweep and bounds create the output
-directory before any work.  Exit status: 0 success, 2 invalid configuration
-(also an output directory that cannot be created, a grid whose samples do
-not fit in memory, or a node that never moves), 3 divergence during
-integration.  validate exits 0 whatever diagnostics it prints, unless the
-configuration itself is invalid (2).
+The README's "Command line" section is the reference for the verbs, the
+flags and the exit statuses.
 """
 
 from __future__ import annotations

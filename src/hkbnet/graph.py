@@ -20,18 +20,6 @@ class TopologyError(ValueError):
     """Weight matrix violates the simple-undirected contract."""
 
 
-class GenerationError(RuntimeError):
-    """Random graph generation exhausted its retry budget."""
-
-    def __init__(self, message: str, attempts: int):
-        super().__init__(message)
-        self.attempts = attempts
-
-
-class DegenerateNodeError(ValueError):
-    """An operation required every node to have at least one neighbor."""
-
-
 @dataclass(frozen=True, eq=False)
 class Topology:
     """Weighted adjacency of a simple undirected graph.
@@ -117,7 +105,7 @@ def random_weighted_graph(
     draws are discarded and regenerated from the same seeded stream, so one
     seed always yields one graph.
 
-    Raises GenerationError when no connected draw appears within
+    Raises RuntimeError when no connected draw appears within
     max_attempts.
     """
     if n < 2:
@@ -128,7 +116,7 @@ def random_weighted_graph(
         raise ValueError("weights must satisfy 0 <= weight_lo <= weight_hi, weight_hi > 0")
     rng = np.random.default_rng(seed)
     iu, ju = np.triu_indices(n, k=1)
-    for attempt in range(1, max_attempts + 1):
+    for _ in range(max_attempts):
         present = rng.random(iu.size) < edge_prob
         vals = rng.uniform(weight_lo, weight_hi, iu.size) * present
         w = np.zeros((n, n))
@@ -137,11 +125,7 @@ def random_weighted_graph(
         top = Topology(w)
         if top.is_connected():
             return top
-    raise GenerationError(
-        f"no connected graph in {max_attempts} attempts "
-        f"(n={n}, edge_prob={edge_prob})",
-        attempts=max_attempts,
-    )
+    raise RuntimeError(f"no connected graph in {max_attempts} attempts (n={n}, edge_prob={edge_prob})")
 
 
 def laplacian(topology: Topology) -> np.ndarray:
@@ -157,13 +141,13 @@ def normalized_neighbor_laplacian(topology: Topology) -> np.ndarray:
     """Laplacian with each row divided by that node's neighbor count.
 
     The normalizer is the number of neighbors, not the weighted degree, so
-    the result is asymmetric for irregular graphs.  Raises
-    DegenerateNodeError when some node has no neighbors.
+    the result is asymmetric for irregular graphs.  Raises ValueError when
+    some node has no neighbors.
     """
     counts = topology.neighbor_counts
     if np.any(counts == 0):
         isolated = int(np.flatnonzero(counts == 0)[0])
-        raise DegenerateNodeError(f"node {isolated} has no neighbors")
+        raise ValueError(f"node {isolated} has no neighbors")
     return laplacian(topology) / counts[:, None]
 
 

@@ -18,10 +18,6 @@ from .phase import PhaseSeries, phases_from_trajectory, wrap_phase
 INDETERMINATE_ORDER_TOL = 1e-12
 
 
-class EntrainmentUndefinedError(ValueError):
-    """Entrainment index requested for a run without an entrainment signal."""
-
-
 @dataclass(frozen=True, eq=False)
 class RelativePhase:
     """Per-node phase relative to the group, and its time-averaged phasor.
@@ -116,7 +112,7 @@ def entrainment_index(phases: PhaseSeries, entrainment: Entrainment) -> tuple[np
     (exact for a pure sine), not Hilbert-extracted.
     """
     if not entrainment.enabled or entrainment.amplitude == 0.0:
-        raise EntrainmentUndefinedError("no entrainment signal was active; index undefined")
+        raise ValueError("no entrainment signal was active; index undefined")
     reference = wrap_phase(entrainment.frequency * phases.times - 0.5 * np.pi)
     per_node = np.abs(np.exp(1j * (phases.phases - reference[:, None])).mean(axis=0))
     return per_node, float(per_node.mean())

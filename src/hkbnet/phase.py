@@ -15,10 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class SignalTooShortError(ValueError):
-    """The series is too short for phase extraction."""
-
-
 class DegenerateSignalError(ValueError):
     """The series has no variation, so its phase is undefined."""
 
@@ -39,7 +35,7 @@ def analytic_signal(samples) -> np.ndarray:
         raise ValueError("samples must be one-dimensional")
     m = s.shape[0]
     if m < 4:
-        raise SignalTooShortError(f"need at least 4 samples, got {m}")
+        raise ValueError(f"need at least 4 samples, got {m}")
     if not np.all(np.isfinite(s)):
         raise ValueError("samples must be finite")
     centered = s - s.mean()

@@ -1,77 +1,9 @@
 """Configuration-driven experiment orchestration and CSV emission.
 
-A run is described either by a named preset or by an INI-style config file
-with the sections below (matrices and node tables are whitespace-separated
-rows on indented continuation lines):
-
-    [network]
-    # either a complete graph ...
-    preset = complete
-    nodes = 6
-    weight = 1.0
-    # ... or an inline weight matrix, not both
-    # weights =
-    #     0 1
-    #     1 0
-
-    [nodes]
-    # one row per node: alpha beta gamma omega pos0 vel0
-    table =
-        0.46 1.16 0.58 0.31 -1.4 0.3
-        ...
-
-    [protocol]
-    kind = full_state        # none | full_state | partial_state | hkb
-    c = 0.15                 # partial_state uses c1/c2, hkb uses a/b/c
-
-    [entrainment]
-    enabled = true
-    amplitude = 0.3
-    frequency = 0.5
-
-    [simulation]
-    duration = 200.0         # dt must divide it, giving at least 4 samples
-    dt = 0.01
-
-    [bounds]                 # optional Lyapunov-bound inputs
-    quad = true              # implied by the section when left out
-    p11 = 0.077
-    p22 = 0.077
-    w11 = 0.001
-    w22 = 0.045
-    z1_max =                 # default: measured from the run
-    z2_max =
-
-    [sweep]                  # optional grid over scalar fields; needs field and values
-    field = protocol.c
-    values = 0.05 0.1 0.15
-    field2 = entrainment.amplitude
-    values2 = 0.1 0.2
-
-    [output]
-    directory = out
-
-Each section's defaults are those of the dataclass it builds, and every
-number must be finite.  Every RunConfig, however it is built (preset,
-file, CLI override or sweep cell), is checked on construction: one
-parameter set and one finite (pos, vel) row per node, 0 < dt <= duration,
-dt divides the duration, the grid holds at least 4 samples and no more
-than one array can address, no node is isolated under a coupled protocol,
-and every sweep cell passes these checks.  Every section and option of a
-config file must be read: a misspelt section (even an empty one, or
-[DEFAULT], which is not special here), a misspelt option, or one unused
-beside the others (preset beside weights) is an error.  A violation raises
-ConfigError naming the section and field, which the CLI turns into exit
-status 2.
-
-write_outputs emits a run's bundle into the config's out_dir: four
-per-sample files (trajectory.csv, phases.csv, rho_g_series.csv,
-eta_series.csv), written a fixed block of samples at a time so emission
-memory does not grow with the duration, and sync_report.csv and
-bounds.csv.  sweep writes sweep.csv there, where a diverged cell's metrics
-are empty fields.  All emitted CSVs are UTF-8 with LF line
-endings, one header row, and reals printed with 9 significant digits.
-Runs are deterministic: an identical config reproduces byte-identical files.
+A run is described by a named preset or by an INI-style config file.  The
+README is the reference: "Config file format" for the file's sections and
+options, "Command line" for the checks every RunConfig passes, and
+"Outputs" for the CSVs that run, sweep and bounds write.
 """
 
 from __future__ import annotations
@@ -126,6 +58,9 @@ class SweepSpec:
             raise ValueError("values must not be empty")
         if (self.field2 is None) != (not self.values2):
             raise ValueError("field2 and values2 must be given together")
+        if self.field2 == self.field:
+            # the second axis would overwrite the first in every cell
+            raise ValueError(f"field2 must differ from field ({self.field})")
 
 
 @dataclass(frozen=True)
@@ -158,9 +93,10 @@ class BoundsOptions:
 class RunConfig:
     """Everything needed to reproduce one deterministic run.
 
-    __post_init__ checks the run contract in the module docstring, and
-    dataclasses.replace runs it too, so CLI overrides and sweep cells are
-    checked like presets and config files; the sweep's cells are built here.
+    __post_init__ checks the run contract in the README's "Command line"
+    section, and dataclasses.replace runs it too, so CLI overrides and sweep
+    cells are checked like presets and config files; the sweep's cells are
+    built here.
     """
 
     label: str
@@ -467,8 +403,13 @@ def validate_config(cfg: RunConfig) -> list[str]:
             f"protocol: every {type(cfg.protocol).__name__} strength "
             f"({', '.join(strengths)}) is zero (coupling inactive)"
         )
-    if cfg.entrainment.enabled and cfg.entrainment.amplitude == 0.0:
+    ent = cfg.entrainment
+    if ent.enabled and ent.amplitude == 0.0:
         diagnostics.append("entrainment: enabled with zero amplitude (no effect)")
+    # a swept entrainment field switches the entrainment on in every cell
+    swept = () if cfg.sweep is None else (cfg.sweep.field, cfg.sweep.field2 or "")
+    if not ent.enabled and ent.amplitude != 0.0 and not any(f.startswith("entrainment.") for f in swept):
+        diagnostics.append(f"entrainment: amplitude {ent.amplitude:g} but not enabled (no effect)")
     if cfg.bounds.quad and bounds_mod.common_gamma(cfg.params) is None:
         diagnostics.append(
             "bounds: quad bound requested but gamma differs across nodes "
@@ -520,14 +461,13 @@ def bounds_rows(config: RunConfig, traj: Trajectory | None = None) -> tuple[tupl
     extrema = state_extrema(traj)
     z1 = config.bounds.z1_max if config.bounds.z1_max is not None else extrema.pos_max
     z2 = config.bounds.z2_max if config.bounds.z2_max is not None else extrema.vel_max
-    avg = bounds_mod.AveragedParams.from_nodes(config.params)
     rows: list[tuple[str, float]] = [
         ("p_M", extrema.pos_max),
         ("v_M", extrema.vel_max),
         ("m_bar", bounds_mod.m_bar(config.params, extrema.pos_max, extrema.vel_max)),
     ]
 
-    window = bounds_mod.contraction_window(avg, z1, z2, config.topology.n)
+    window = bounds_mod.contraction_window(config.params, z1, z2)
     rows += [
         ("c_lo", window.c_lo),
         ("c_hi", window.c_hi),

@@ -5,10 +5,6 @@ import pytest
 
 from hkbnet import runner
 from hkbnet.bounds import (
-    AveragedParams,
-    BoundInapplicableError,
-    InvalidBoundError,
-    UndefinedBoundError,
     common_gamma,
     contraction_window,
     is_complete_unweighted,
@@ -16,7 +12,6 @@ from hkbnet.bounds import (
     quad_cbar_direct,
     quad_certificate,
     quad_epsilon_direct,
-    virtual_jacobian,
 )
 from hkbnet.dynamics import FullState, OscillatorParams, integrate, state_extrema
 from hkbnet.graph import Topology, complete_graph, neighbor_lambda2, random_weighted_graph
@@ -24,19 +19,23 @@ from hkbnet.metrics import tracking_error_norm
 from hkbnet.presets import ROCKING6_PARAMS, VALIDATION5_PARAMS
 
 
-class TestAveragedParams:
-    def test_componentwise_means(self):
-        avg = AveragedParams.from_nodes(ROCKING6_PARAMS)
-        assert avg.alpha == pytest.approx((0.46 + 0.37 + 0.34 + 0.17 + 0.76 + 0.25) / 6)
-        assert avg.beta == pytest.approx((1.16 + 1.20 + 1.73 + 0.31 + 0.76 + 0.86) / 6)
-        assert avg.gamma == pytest.approx((0.58 + 1.84 + 0.62 + 1.86 + 1.40 + 0.56) / 6)
-        assert avg.omega == pytest.approx((0.31 + 0.52 + 0.37 + 0.41 + 0.85 + 0.62) / 6)
+def identical_nodes(n, alpha, beta, gamma, omega):
+    return [OscillatorParams(alpha, beta, gamma, omega)] * n
 
 
 class TestContractionWindow:
+    def test_componentwise_means(self):
+        # the virtual system takes the node means of alpha, gamma and omega
+        alpha = (0.46 + 0.37 + 0.34 + 0.17 + 0.76 + 0.25) / 6
+        gamma = (0.58 + 1.84 + 0.62 + 1.86 + 1.40 + 0.56) / 6
+        omega = (0.31 + 0.52 + 0.37 + 0.41 + 0.85 + 0.62) / 6
+        at_rest = contraction_window(ROCKING6_PARAMS, 0.0, 1.0)
+        assert at_rest.c_lo == pytest.approx(5.0 / 6.0 * (omega**2 + gamma))
+        moving = contraction_window(ROCKING6_PARAMS, 1.0, 1.0)
+        assert moving.c_lo == pytest.approx(5.0 / 6.0 * (2.0 * alpha + omega**2 + gamma))
+
     def test_hand_evaluated_window(self):
-        avg = AveragedParams(alpha=0.0, beta=1.0, gamma=0.05, omega=0.1)
-        win = contraction_window(avg, 1.0, 1.0, 6)
+        win = contraction_window(identical_nodes(6, 0.0, 1.0, 0.05, 0.1), 1.0, 1.0)
         assert win.c_lo == pytest.approx(5.0 / 6.0 * 0.06)
         assert win.c_hi == pytest.approx(5.0 / 6.0)
         assert win.feasible
@@ -44,25 +43,23 @@ class TestContractionWindow:
     def test_table_averages_are_infeasible(self):
         # the sufficient condition fails for the six-node scenario; that is a
         # reported outcome, not an error (simulation still synchronizes)
-        avg = AveragedParams.from_nodes(ROCKING6_PARAMS)
-        win = contraction_window(avg, 1.0, 1.0, 6)
+        win = contraction_window(ROCKING6_PARAMS, 1.0, 1.0)
         assert win.c_lo > win.c_hi
         assert not win.feasible
 
     def test_upper_edge_below_one(self):
-        avg = AveragedParams(alpha=0.0, beta=1.0, gamma=0.01, omega=0.05)
         for n in (2, 3, 10, 100):
-            assert contraction_window(avg, 0.5, 0.5, n).c_hi < 1.0
+            assert contraction_window(identical_nodes(n, 0.0, 1.0, 0.01, 0.05), 0.5, 0.5).c_hi < 1.0
 
     def test_nonpositive_state_bound_raises(self):
         # a zero bound (a network at rest) is a state bound like any other, as in m_bar
-        avg = AveragedParams(alpha=0.1, beta=1.0, gamma=0.2, omega=0.3)
-        assert contraction_window(avg, 0.0, 1.0, 4).c_lo == pytest.approx(0.75 * (0.09 + 0.2))
-        assert contraction_window(avg, 0.0, 0.0, 4).c_lo == pytest.approx(0.75 * (0.09 + 0.2))
-        with pytest.raises(InvalidBoundError):
-            contraction_window(avg, -1e-12, 1.0, 4)
-        with pytest.raises(InvalidBoundError):
-            contraction_window(avg, 1.0, -2.0, 4)
+        params = identical_nodes(4, 0.1, 1.0, 0.2, 0.3)
+        assert contraction_window(params, 0.0, 1.0).c_lo == pytest.approx(0.75 * (0.09 + 0.2))
+        assert contraction_window(params, 0.0, 0.0).c_lo == pytest.approx(0.75 * (0.09 + 0.2))
+        with pytest.raises(ValueError, match="state bounds must be nonnegative"):
+            contraction_window(params, -1e-12, 1.0)
+        with pytest.raises(ValueError, match="state bounds must be nonnegative"):
+            contraction_window(params, 1.0, -2.0)
 
     def test_complete_unweighted_hypothesis(self):
         assert is_complete_unweighted(complete_graph(6))
@@ -70,51 +67,6 @@ class TestContractionWindow:
         path = np.diag(np.ones(3), 1)
         assert not is_complete_unweighted(Topology(path + path.T))
         assert is_complete_unweighted(Topology(np.array([[0.0, 1.0], [1.0, 0.0]])))
-
-
-class TestVirtualJacobian:
-    def test_origin_evaluation(self):
-        avg = AveragedParams(alpha=0.3, beta=0.9, gamma=1.1, omega=0.5)
-        jac = virtual_jacobian([0.0, 0.0], avg, c_hat=0.04, n_nodes=6)
-        cn = 0.04 * 6
-        expected = np.array([[-cn, 1.0], [-0.25, 1.1 - cn]])
-        assert np.abs(jac - expected).max() < 1e-15
-
-    def test_matches_finite_differences(self):
-        # independent oracle: the virtual field with frozen aggregate inputs
-        avg = AveragedParams(alpha=0.39, beta=1.0, gamma=1.14, omega=0.51)
-        c_hat, n = 0.03, 6
-        sums = np.array([0.7, -0.4])  # constant neighbor-sum terms drop out
-
-        def virtual_field(z):
-            z1, z2 = z
-            return np.array(
-                [
-                    z2 - c_hat * n * z1 + c_hat * sums[0],
-                    -(avg.alpha * z1**2 + avg.beta * z2**2 - avg.gamma) * z2
-                    - avg.omega**2 * z1
-                    - c_hat * n * z2
-                    + c_hat * sums[1],
-                ]
-            )
-
-        rng = np.random.default_rng(7)
-        h = 1e-6
-        for _ in range(100):
-            z = rng.uniform(-2.0, 2.0, size=2)
-            jac = virtual_jacobian(z, avg, c_hat, n)
-            numeric = np.empty((2, 2))
-            for col in range(2):
-                dz = np.zeros(2)
-                dz[col] = h
-                numeric[:, col] = (virtual_field(z + dz) - virtual_field(z - dz)) / (2 * h)
-            assert np.abs(jac - numeric).max() < 1e-6
-
-    def test_diagonal_negative_when_coupling_dominates(self):
-        avg = AveragedParams(alpha=0.3, beta=0.9, gamma=1.1, omega=0.5)
-        jac = virtual_jacobian([0.0, 0.0], avg, c_hat=0.2, n_nodes=6)
-        assert jac[0, 0] < 0.0
-        assert jac[1, 1] < 0.0
 
 
 class TestMBar:
@@ -133,7 +85,7 @@ class TestMBar:
         assert m_bar(VALIDATION5_PARAMS, 0.0, 0.0) == 0.0
 
     def test_negative_bound_raises(self):
-        with pytest.raises(InvalidBoundError):
+        with pytest.raises(ValueError, match="state bounds must be nonnegative"):
             m_bar(VALIDATION5_PARAMS, -1.0, 1.0)
 
 
@@ -169,7 +121,7 @@ class TestQuadCbar:
         w = np.zeros((4, 4))
         w[0, 1] = w[1, 0] = 1.0
         w[2, 3] = w[3, 2] = 1.0
-        with pytest.raises(UndefinedBoundError):
+        with pytest.raises(ValueError, match="lambda2 is zero"):
             quad_certificate(
                 neighbor_lambda2(Topology(w)), VALIDATION5_PARAMS[:4], p=(1.0, 1.0), w11=0.001
             )
@@ -199,7 +151,7 @@ class TestQuadEpsilon:
 
     def test_no_spectral_gap_raises(self):
         # no gap, no certificate: however large c is, the side condition says nothing
-        with pytest.raises(UndefinedBoundError):
+        with pytest.raises(ValueError, match="lambda2 is zero"):
             quad_epsilon_direct(1e12, 1e-9, 0.58, (0.077, 0.077), 0.001, (1.0, 1.0), 7.6, 5)
 
     def test_hand_evaluated_value(self):
@@ -213,7 +165,7 @@ class TestQuadEpsilon:
 
 class TestQuadCertificate:
     def test_heterogeneous_gamma_rejected(self):
-        with pytest.raises(BoundInapplicableError):
+        with pytest.raises(ValueError, match="identical gamma"):
             quad_certificate(neighbor_lambda2(complete_graph(6, 1.0)), ROCKING6_PARAMS)
 
     def test_certificate_fields(self):
@@ -253,7 +205,7 @@ class TestQuadCertificate:
         if shared:
             assert quad_certificate(rows["lambda2"], params).c_bar == rows["c_bar"]
         else:
-            with pytest.raises(BoundInapplicableError):
+            with pytest.raises(ValueError, match="identical gamma"):
                 quad_certificate(rows["lambda2"], params)
 
 
@@ -277,9 +229,7 @@ class TestEmpiricalSoundness:
         x0 = rng.uniform(-0.5, 0.5, size=(n, 2))
         pilot = integrate(params, top, FullState(0.5), x0, 100.0, 0.01)
         extrema = state_extrema(pilot)
-        win = contraction_window(
-            AveragedParams.from_nodes(params), extrema.pos_max, extrema.vel_max, n
-        )
+        win = contraction_window(params, extrema.pos_max, extrema.vel_max)
         assert win.feasible
         c = 0.5 * (win.c_lo + win.c_hi)
         traj = integrate(params, top, FullState(c), x0, 100.0, 0.01)

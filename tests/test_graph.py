@@ -96,9 +96,8 @@ class TestRandomWeightedGraph:
         assert np.all(top.weights <= 2.0)
 
     def test_generation_failure_reports_attempts(self):
-        with pytest.raises(graph.GenerationError) as err:
+        with pytest.raises(RuntimeError, match=r"no connected graph in 25 attempts \(n=3, edge_prob=0.0\)"):
             graph.random_weighted_graph(3, 0.0, 0.0, 2.0, seed=0, max_attempts=25)
-        assert err.value.attempts == 25
 
 
 class TestLaplacian:
@@ -145,7 +144,7 @@ class TestNormalizedNeighborLaplacian:
 
     def test_isolated_node_raises(self):
         top = graph.Topology(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
-        with pytest.raises(graph.DegenerateNodeError):
+        with pytest.raises(ValueError, match="node 2 has no neighbors"):
             graph.normalized_neighbor_laplacian(top)
 
     def test_normalizer_is_count_not_degree(self):

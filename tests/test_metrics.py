@@ -6,7 +6,6 @@ import pytest
 from hkbnet.dynamics import Entrainment, FullState, OscillatorParams, Trajectory, integrate
 from hkbnet.graph import complete_graph
 from hkbnet.metrics import (
-    EntrainmentUndefinedError,
     agent_relative_phase,
     agent_sync_degree,
     compute_sync_report,
@@ -179,9 +178,9 @@ class TestEntrainmentIndex:
 
     def test_inactive_signal_raises(self):
         ps = PhaseSeries(dt=0.01, phases=np.zeros((10, 2)))
-        with pytest.raises(EntrainmentUndefinedError):
+        with pytest.raises(ValueError, match="no entrainment signal was active"):
             entrainment_index(ps, Entrainment())
-        with pytest.raises(EntrainmentUndefinedError):
+        with pytest.raises(ValueError, match="no entrainment signal was active"):
             entrainment_index(ps, Entrainment(amplitude=0.0, frequency=0.5, enabled=True))
 
 

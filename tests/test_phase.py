@@ -8,7 +8,6 @@ from hkbnet.graph import complete_graph
 from hkbnet.phase import (
     DegenerateSignalError,
     PhaseSeries,
-    SignalTooShortError,
     analytic_signal,
     instantaneous_phase,
     phases_from_trajectory,
@@ -43,7 +42,7 @@ class TestAnalyticSignal:
         assert np.abs(z.real - (x - x.mean())).max() < 1e-9
 
     def test_too_short_raises(self):
-        with pytest.raises(SignalTooShortError):
+        with pytest.raises(ValueError, match="need at least 4 samples, got 3"):
             analytic_signal([1.0, 2.0, 3.0])
 
 

@@ -235,6 +235,16 @@ class TestValidateConfig:
         assert cli.main(["bounds", str(path), "--out-dir", str(out_dir)]) == cli.EXIT_OK
         assert "quad_applicable,0\n" in (out_dir / "bounds.csv").read_text()
 
+    def test_amplitude_without_enabled_flagged(self, tmp_path):
+        path = tmp_path / "ent.cfg"
+        path.write_text(GOOD_CONFIG + "\n[entrainment]\namplitude = 0.3\n")
+        assert runner.validate_config(runner.load_config(path)) == [
+            "entrainment: amplitude 0.3 but not enabled (no effect)"
+        ]
+        # a swept entrainment field switches the entrainment on in every cell
+        path.write_text(path.read_text() + "\n[sweep]\nfield = entrainment.frequency\nvalues = 0.5 1.0\n")
+        assert runner.validate_config(runner.load_config(path)) == []
+
     def test_zero_strength_flagged(self):
         cfg = dataclasses.replace(
             runner.preset_config("rocking6-psc"), protocol=PartialState(0.0, 0.0)
@@ -497,6 +507,8 @@ CONTRACT_INPUTS = [
     pytest.param([], ("[output]", "[bound]\n\n[output]"), "[bound]", id="unread-empty-section-bound"),
     pytest.param([], ("[run]", "[DEFAULT]\ndt = 0.01\n\n[run]"), "[DEFAULT] dt", id="unread-default-section"),
     pytest.param([], ("field = protocol.c", "feild = protocol.c"), "[sweep] feild", id="unread-sweep-feild"),
+    pytest.param([], ("values = 0.1 0.2", "values = 0.1 0.2\nfield2 = protocol.c\nvalues2 = 0.3 0.4"),
+                 "[sweep] field2 must differ from field", id="sweep-field2-repeats-field"),
     pytest.param([], ("[network]\n", "[network]\npreset = complete\n"), "[network] preset",
                  id="unread-preset-beside-weights"),
     pytest.param([], ("[output]", "[bounds]\np11 = 0\n\n[output]"), "[bounds]", id="p11-zero"),
