@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Entrainment, Trajectory
-from .phase import PhaseSeries, phases_from_trajectory, wrap_phase
+from .phase import DegenerateSignalError, PhaseSeries, phases_from_trajectory, wrap_phase
 
 # Mean phasors shorter than this leave the group angle undefined.
 INDETERMINATE_ORDER_TOL = 1e-12
@@ -47,6 +47,12 @@ class SyncReport:
     indeterminate_samples: int = 0
 
 
+def _unit_phasors(theta) -> np.ndarray:
+    """exp(1j * theta), exponentiated in place in the one complex buffer 1j * theta makes."""
+    z = 1j * theta
+    return np.exp(z, out=z)
+
+
 def agent_relative_phase(phases: PhaseSeries) -> RelativePhase:
     """Phase of each node relative to the group, averaged as a unit phasor.
 
@@ -54,16 +60,18 @@ def agent_relative_phase(phases: PhaseSeries) -> RelativePhase:
     phasor over the nodes.  When the phasors cancel almost exactly that
     angle is meaningless: the sample is indeterminate, its group angle is
     taken as 0, and it is excluded from the phasor average and counted in
-    the result.
+    the result.  Raises DegenerateSignalError when every sample is
+    indeterminate.
     """
-    order = np.exp(1j * phases.phases).mean(axis=1)
+    order = _unit_phasors(phases.phases).mean(axis=1)
     indeterminate = np.abs(order) < INDETERMINATE_ORDER_TOL
+    if indeterminate.all():
+        raise DegenerateSignalError(
+            "the nodes' phases cancel at every sample, so the cluster phase is never defined"
+        )
     group_angle = np.where(indeterminate, 0.0, np.angle(order))
     rel = wrap_phase(phases.phases - group_angle[:, None])
-    valid = ~indeterminate
-    if not valid.any():
-        raise ValueError("cluster phase indeterminate at every sample")
-    mean_phasor = np.exp(1j * rel[valid]).mean(axis=0)
+    mean_phasor = _unit_phasors(rel[~indeterminate] if indeterminate.any() else rel).mean(axis=0)
     return RelativePhase(
         series=rel,
         mean_phasor=mean_phasor,
@@ -80,7 +88,7 @@ def agent_sync_degree(mean_phasor) -> np.ndarray:
 def group_sync_series(rel_phases, mean_phase) -> np.ndarray:
     """Instantaneous group synchronization index in [0, 1]."""
     deviation = np.asarray(rel_phases, dtype=float) - np.asarray(mean_phase, dtype=float)[None, :]
-    return np.abs(np.exp(1j * deviation).mean(axis=1))
+    return np.abs(_unit_phasors(deviation).mean(axis=1))
 
 
 def group_sync_summary(series) -> tuple[float, float]:
@@ -100,7 +108,7 @@ def dyadic_matrix(phases: PhaseSeries) -> np.ndarray:
     upper triangle is mirrored, since the product's rounding need not be
     symmetric.
     """
-    z = np.exp(1j * phases.phases)
+    z = _unit_phasors(phases.phases)
     upper = np.triu(np.abs(z.conj().T @ z), 1) / phases.num_samples
     return upper + upper.T + np.eye(phases.n_nodes)
 
@@ -114,7 +122,7 @@ def entrainment_index(phases: PhaseSeries, entrainment: Entrainment) -> tuple[np
     if not entrainment.enabled or entrainment.amplitude == 0.0:
         raise ValueError("no entrainment signal was active; index undefined")
     reference = wrap_phase(entrainment.frequency * phases.times - 0.5 * np.pi)
-    per_node = np.abs(np.exp(1j * (phases.phases - reference[:, None])).mean(axis=0))
+    per_node = np.abs(_unit_phasors(phases.phases - reference[:, None]).mean(axis=0))
     return per_node, float(per_node.mean())
 
 
@@ -123,7 +131,8 @@ def tracking_error_norm(traj: Trajectory) -> np.ndarray:
     if traj.n_nodes < 2:
         raise ValueError("tracking error needs at least two nodes")
     deviation = traj.states - traj.states.mean(axis=1, keepdims=True)
-    return np.sqrt((deviation * deviation).sum(axis=(1, 2)))
+    np.multiply(deviation, deviation, out=deviation)
+    return np.sqrt(deviation.sum(axis=(1, 2)))
 
 
 def compute_sync_report(
@@ -137,20 +146,24 @@ def compute_sync_report(
     precomputed phases may be supplied to avoid repeating the extraction.
     """
     ph = phases if phases is not None else phases_from_trajectory(traj)
-    rel = agent_relative_phase(ph)
-    series = group_sync_series(rel.series, rel.mean_phase)
-    mean, std = group_sync_summary(series)
+    # The small results come first, so that the full-size temporaries they
+    # make do not stack on the relative phases that the group index needs.
+    eta = tracking_error_norm(traj)
+    dyadic = dyadic_matrix(ph)
     rho_e_k = None
     rho_e = None
     if entrainment is not None and entrainment.enabled and entrainment.amplitude > 0.0:
         rho_e_k, rho_e = entrainment_index(ph, entrainment)
+    rel = agent_relative_phase(ph)
+    series = group_sync_series(rel.series, rel.mean_phase)
+    mean, std = group_sync_summary(series)
     return SyncReport(
         rho_k=agent_sync_degree(rel.mean_phasor),
         rho_g_series=series,
         rho_g_mean=mean,
         rho_g_std=std,
-        dyadic=dyadic_matrix(ph),
-        eta_series=tracking_error_norm(traj),
+        dyadic=dyadic,
+        eta_series=eta,
         rho_e_k=rho_e_k,
         rho_e=rho_e,
         indeterminate_samples=rel.excluded_samples,

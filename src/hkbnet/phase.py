@@ -16,7 +16,11 @@ import numpy as np
 
 
 class DegenerateSignalError(ValueError):
-    """The series has no variation, so its phase is undefined."""
+    """A phase the analysis needs is undefined for this run.
+
+    Either a node's series has no variation, or the nodes' unit phasors
+    cancel at every sample, so the cluster phase is never defined.
+    """
 
 
 def wrap_phase(theta):
@@ -99,10 +103,10 @@ class PhaseSeries:
 
 def phases_from_trajectory(traj) -> PhaseSeries:
     """Extract every node's phase from its position series."""
-    columns = []
+    phases = np.empty((traj.num_samples, traj.n_nodes))
     for k in range(traj.n_nodes):
         try:
-            columns.append(instantaneous_phase(traj.states[:, k, 0]))
+            phases[:, k] = instantaneous_phase(traj.states[:, k, 0])
         except DegenerateSignalError:
             raise DegenerateSignalError(f"node {k + 1} never moves, so it has no phase") from None
-    return PhaseSeries(dt=traj.dt, phases=np.column_stack(columns))
+    return PhaseSeries(dt=traj.dt, phases=phases)

@@ -83,7 +83,7 @@ class BoundsOptions:
     z2_max: float | None = None
 
     def __post_init__(self):
-        for name in ("p11", "p22", "w11", "gamma1", "gamma2", "z1_max", "z2_max"):
+        for name in ("p11", "p22", "w11", "w22", "gamma1", "gamma2", "z1_max", "z2_max"):
             value = getattr(self, name)
             if value is not None and not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
@@ -152,13 +152,22 @@ class RunResult:
     written: tuple[Path, ...] = ()
 
 
+@dataclass(frozen=True)
+class CellReport:
+    """The three numbers sweep.csv prints for one cell; rho_e is None without entrainment."""
+
+    rho_g_mean: float
+    rho_g_std: float
+    rho_e: float | None
+
+
 @dataclass(frozen=True, eq=False)
 class SweepCell:
     """Outcome of one sweep grid point."""
 
     value1: float
     value2: float | None
-    report: SyncReport | None  # None when the cell diverged
+    report: CellReport | None  # None when the cell diverged
 
 
 # ---------------------------------------------------------------------------
@@ -545,24 +554,30 @@ def _sweep_grid(config: RunConfig) -> list[tuple[float, float | None, RunConfig]
     return grid
 
 
+def _cell_report(config: RunConfig) -> CellReport | None:
+    """Simulate one sweep cell and keep its three scalars, or None if it diverges.
+
+    The trajectory and the full report go when this returns, so no cell's
+    per-sample arrays outlive it or overlap the next cell's.
+    """
+    try:
+        traj = _integrate(config)
+    except DivergenceError:
+        return None
+    report = compute_sync_report(traj, entrainment=config.entrainment)
+    return CellReport(report.rho_g_mean, report.rho_g_std, report.rho_e)
+
+
 def run_sweep(config: RunConfig) -> list[SweepCell]:
     """Execute the sweep grid cell by cell (no I/O).
 
     Cells are independent: a cell that diverges is recorded without stopping
-    the rest of the grid, and any other error propagates.
+    the rest of the grid, and any other error propagates.  Each cell keeps
+    only its three scalars, so memory does not grow with cells x samples.
     """
     if config.sweep is None:
         raise ConfigError("configuration has no [sweep] section")
-    cells: list[SweepCell] = []
-    for v1, v2, cell_cfg in _sweep_grid(config):
-        try:
-            traj = _integrate(cell_cfg)
-        except DivergenceError:
-            cells.append(SweepCell(v1, v2, report=None))
-            continue
-        report = compute_sync_report(traj, entrainment=cell_cfg.entrainment)
-        cells.append(SweepCell(v1, v2, report=report))
-    return cells
+    return [SweepCell(v1, v2, _cell_report(cell_cfg)) for v1, v2, cell_cfg in _sweep_grid(config)]
 
 
 # ---------------------------------------------------------------------------

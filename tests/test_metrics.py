@@ -1,5 +1,7 @@
 """Unit tests for the synchronization metrics, with hand-derived oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from hkbnet.metrics import (
     group_sync_summary,
     tracking_error_norm,
 )
-from hkbnet.phase import PhaseSeries, wrap_phase
+from hkbnet.phase import DegenerateSignalError, PhaseSeries, wrap_phase
 
 
 def phase_series(phases, dt=0.01):
@@ -36,6 +38,11 @@ class TestClusterPhase:
         rel = agent_relative_phase(phase_series([[0.0, np.pi], [0.3, 0.3]]))
         assert rel.excluded_samples == 1
         assert np.array_equal(rel.series[0], [0.0, np.pi])
+
+    def test_indeterminate_at_every_sample_raises(self):
+        # two antipodal nodes at every sample leave no sample with a group angle
+        with pytest.raises(DegenerateSignalError, match="every sample"):
+            agent_relative_phase(phase_series([[0.0, np.pi], [0.3, 0.3 - np.pi]]))
 
     def test_three_phase_hand_value(self):
         # (e^{i0} + e^{i pi/2} + e^{i pi}) / 3 = i / 3, whose angle is pi/2
@@ -282,3 +289,15 @@ class TestComputeSyncReport:
         assert report.rho_e_k is not None and report.rho_e is not None
         plain = compute_sync_report(traj)
         assert plain.rho_e_k is None and plain.rho_e is None
+
+    def test_peak_memory_under_five_phase_arrays(self, rocking6_fsc):
+        # one complex phasor buffer at a time, and the small results before the
+        # relative phases, keep the traced peak under five (samples, n) float arrays
+        traj, ph = rocking6_fsc.trajectory, rocking6_fsc.phases
+        tracemalloc.start()
+        try:
+            compute_sync_report(traj, phases=ph)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * ph.phases.nbytes

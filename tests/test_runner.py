@@ -9,6 +9,7 @@ import json
 import re
 import sys
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -73,6 +74,19 @@ dt = 0.01
 [output]
 directory = out
 """
+
+
+@pytest.fixture
+def entrainment_sweep_path(tmp_path, monkeypatch):
+    """The benchmark's seed-3 sweep_entrain config: rocking6-fsc with entrainment on
+    (frequency 0.169, amplitude 0.196) and a 2 x 2 frequency x amplitude sweep."""
+    spec = importlib.util.spec_from_file_location("workloads", REPO_ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look themselves up there
+    spec.loader.exec_module(workloads)
+    path = tmp_path / "entrain.cfg"
+    path.write_text(workloads.entrainment_sweep_config(*workloads.sweep_grid(3), tmp_path / "sweep"))
+    return path
 
 
 class TestPresetFixtures:
@@ -189,15 +203,9 @@ class TestConfigParsing:
         assert cfg.sweep == runner.SweepSpec(field="protocol.c", values=(0.05, 0.1, 0.15, 0.2))
         assert cfg.bounds.quad and cfg.bounds.w22 == 0.045
 
-    def test_benchmark_sweep_config_validates(self, tmp_path, capsys, monkeypatch):
+    def test_benchmark_sweep_config_validates(self, entrainment_sweep_path, capsys):
         # the config the benchmark's sweep_entrain workload writes must stay one the reader accepts
-        spec = importlib.util.spec_from_file_location("workloads", REPO_ROOT / "perfbench" / "workloads.py")
-        workloads = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look themselves up there
-        spec.loader.exec_module(workloads)
-        path = tmp_path / "entrain.cfg"
-        path.write_text(workloads.entrainment_sweep_config(*workloads.sweep_grid(3), tmp_path / "sweep"))
-        assert cli.main(["validate", str(path)]) == cli.EXIT_OK
+        assert cli.main(["validate", str(entrainment_sweep_path)]) == cli.EXIT_OK
         assert capsys.readouterr().out == "0 diagnostic(s)\n"
 
 
@@ -331,6 +339,19 @@ class TestRunOutputs:
         got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
         assert got == expected
 
+    def test_entrainment_run_digests(self, entrainment_sweep_path, tmp_path):
+        # no preset enables entrainment, so this run pins the rho_E rows of sync_report.csv
+        expected = {
+            "rho_g_series.csv": "ed7f28db007a06c24ebad1b7147a5719d71a703fce76558c40ef376588eabec4",
+            "sync_report.csv": "f9a104b5233ed10e370551f9da281d291defed5d8969d3a567707d69240f19c1",
+        }
+        out = tmp_path / "out"
+        with redirect_stdout(io.StringIO()):
+            code = cli.main(["run", str(entrainment_sweep_path), "--duration", "20", "--out-dir", str(out)])
+        assert code == cli.EXIT_OK
+        assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in expected} == expected
+        assert "rho_E,,0.319983535\n" in (out / "sync_report.csv").read_text()
+
     @pytest.mark.parametrize("verb", ["bounds", "run"])
     def test_validation5_bounds_digest(self, verb, tmp_path):
         # sha256 of bounds.csv, with its lambda2 and Lyapunov rows, as written
@@ -431,6 +452,36 @@ class TestSweep:
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert lines[1].split(",")[2] == ""  # empty metrics for diverged cell
 
+    def test_benchmark_sweep_digest(self, entrainment_sweep_path, tmp_path, capsys):
+        # sha256 of the benchmark's seed-3 sweep.csv at T = 20 s (at the full 200 s it is 73779a9d5ef3...)
+        out = tmp_path / "out"
+        code = cli.main(["sweep", str(entrainment_sweep_path), "--duration", "20", "--out-dir", str(out)])
+        assert code == cli.EXIT_OK
+        digest = hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest()
+        assert digest == "2a8326a38448a7c88257dcd27b1186263b5d977995ed3851729cc63808066887"
+
+    def test_cells_hold_no_per_sample_array(self):
+        # a cell keeps three scalars, so neither what the cells retain nor the
+        # sweep's peak grows by one per-sample array when the grid grows
+        base = dataclasses.replace(runner.preset_config("rocking6-fsc"), duration=10.0)
+        per_sample_bytes = 1001 * 8
+
+        def traced(values):
+            cfg = dataclasses.replace(base, sweep=runner.SweepSpec(field="entrainment.amplitude", values=values))
+            tracemalloc.start()
+            try:
+                cells = runner.run_sweep(cfg)
+                assert all(cell.report.rho_e is not None for cell in cells)
+                return tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+
+        traced((0.1,))  # allocations a first call keeps (caches) stay out of the counts below
+        _, one_cell_peak = traced((0.1,))
+        retained, peak = traced((0.1, 0.2, 0.3))
+        assert retained < per_sample_bytes
+        assert peak - one_cell_peak < per_sample_bytes
+
     def test_unknown_sweep_field(self):
         # only dataclass fields are sweepable, not other attributes of the protocol;
         # the config rejects such a sweep when it is built, before any cell runs
@@ -513,6 +564,8 @@ CONTRACT_INPUTS = [
                  id="unread-preset-beside-weights"),
     pytest.param([], ("[output]", "[bounds]\np11 = 0\n\n[output]"), "[bounds]", id="p11-zero"),
     pytest.param([], ("[output]", "[bounds]\nw11 = -1\n\n[output]"), "[bounds]", id="w11-negative"),
+    pytest.param([], ("[output]", "[bounds]\nw22 = -5\n\n[output]"), "[bounds] w22", id="w22-negative"),
+    pytest.param([], ("[output]", "[bounds]\nw22 = 0\n\n[output]"), "[bounds] w22", id="w22-zero"),
     pytest.param([], ("[output]", "[bounds]\nz1_max = 0\n\n[output]"), "[bounds]", id="z1-max-zero"),
     pytest.param([], ("[output]", "[bounds]\ngamma1 = -1\n\n[output]"), "[bounds]",
                  id="gamma1-negative"),
@@ -615,6 +668,21 @@ class TestCli:
         assert cli.main([verb, str(path), "--out-dir", str(tmp_path / "out")]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert "[nodes]" in err and "node 2" in err
+
+    @pytest.mark.parametrize("verb", ["run", "sweep"])
+    def test_cluster_phase_never_defined_exits_config(self, verb, tmp_path, capsys):
+        # two identical uncoupled nodes started at +1 and -1 stay in exact antiphase,
+        # so their phasors cancel at every sample
+        path = tmp_path / "antiphase.cfg"
+        path.write_text(
+            "[network]\npreset = complete\nnodes = 2\n\n"
+            "[nodes]\ntable =\n    0.5 1.0 0.5 0.5 1.0 0.0\n    0.5 1.0 0.5 0.5 -1.0 0.0\n\n"
+            "[protocol]\nkind = none\n\n[simulation]\nduration = 20\n\n"
+            "[sweep]\nfield = simulation.duration\nvalues = 10 20\n"
+        )
+        assert cli.main([verb, str(path), "--out-dir", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "[nodes]" in err and "cluster phase is never defined" in err
 
     def test_bounds_without_spectral_gap(self, tmp_path, capsys):
         # connected, so RunConfig accepts it, but the 1e-10 bridge leaves lambda2 below tolerance
