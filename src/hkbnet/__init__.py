@@ -11,6 +11,7 @@ Submodules:
 """
 
 from .bounds import (
+    BoundsOptions,
     ContractionWindow,
     QuadCertificate,
     contraction_window,
@@ -66,7 +67,6 @@ from .phase import (
     wrap_phase,
 )
 from .runner import (
-    BoundsOptions,
     ConfigError,
     PRESET_NAMES,
     RunConfig,

@@ -6,10 +6,10 @@ Two independent certificates are evaluated:
   unweighted complete graph (decided by is_complete_unweighted), built from
   node-averaged parameters and bounds on the virtual state, and
 * a Lyapunov-style minimum coupling c_bar with an asymptotic error bound
-  epsilon.  Its two hypotheses are decided here only: common_gamma (every
-  node's gamma within GAMMA_RTOL * max(1, |gamma_1|) of the first's) and
-  has_spectral_gap (lambda2 above graph.ZERO_EIGENVALUE_TOL); bounds.csv
-  has the Lyapunov rows only when both hold.
+  epsilon.  quad_hypotheses alone decides where it applies: a connected graph,
+  a common gamma (each within GAMMA_RTOL * max(1, |gamma_1|) of the first)
+  and a spectral gap (lambda2 above graph.ZERO_EIGENVALUE_TOL); bounds.csv
+  has the Lyapunov rows only when all three hold.
 
 Both are sufficient conditions only; simulations routinely synchronize well
 below them, so infeasible or conservative outcomes are reported as values
@@ -19,15 +19,42 @@ bounds` exits 0 on every config RunConfig accepts, unless it diverges.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .dynamics import OscillatorParams
-from .graph import ZERO_EIGENVALUE_TOL, Topology
+from .graph import ZERO_EIGENVALUE_TOL, Topology, neighbor_lambda2
 
 GAMMA_RTOL = 1e-9
+
+
+@dataclass(frozen=True)
+class BoundsOptions:
+    """Inputs for the bound evaluation attached to a run.
+
+    quad marks an explicit request for the Lyapunov certificate; it only
+    affects validation diagnostics, since bounds evaluation reports the
+    certificate whenever its hypotheses hold anyway.
+    """
+
+    quad: bool = False
+    p11: float = 1.0
+    p22: float = 1.0
+    w11: float = 1e-6
+    w22: float | None = None
+    gamma1: float = 1.0
+    gamma2: float = 1.0
+    z1_max: float | None = None
+    z2_max: float | None = None
+
+    def __post_init__(self):
+        for name in ("p11", "p22", "w11", "w22", "gamma1", "gamma2", "z1_max", "z2_max"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -48,8 +75,8 @@ class ContractionWindow:
 class QuadCertificate:
     """Lyapunov certificate: minimum coupling c_bar and asymptotic error bound epsilon.
 
-    epsilon is absent when no coupling strength or state bounds were
-    supplied, or when the side condition fails at the supplied strength.
+    epsilon is absent when no coupling strength was supplied, or when the
+    side condition fails at the supplied strength.
     """
 
     c_bar: float
@@ -114,6 +141,20 @@ def has_spectral_gap(lambda2: float) -> bool:
     return lambda2 > ZERO_EIGENVALUE_TOL
 
 
+def quad_hypotheses(topology: Topology, params: Sequence[OscillatorParams]) -> tuple[float | None, list[str]]:
+    """lambda2 (None on a disconnected graph) and the Lyapunov hypotheses that fail.
+
+    The certificate applies when lambda2 is not None and nothing fails.
+    """
+    lambda2 = neighbor_lambda2(topology) if topology.is_connected() else None
+    failures = []
+    if common_gamma(params) is None:
+        failures.append("gamma differs across nodes")
+    if lambda2 is not None and not has_spectral_gap(lambda2):
+        failures.append(f"lambda2 = {lambda2:.3g} leaves no spectral gap")
+    return lambda2, failures
+
+
 def _shapes(lambda2: float, gamma: float, p, w11: float, coupling_shape, w22: float | None):
     """Check lambda2 and the shape matrices; return p, shape and w22 (default gamma * p22)."""
     pd = np.asarray(p, dtype=float)
@@ -173,31 +214,24 @@ def quad_epsilon_direct(
 
 
 def quad_certificate(
-    lambda2: float,
-    params: Sequence[OscillatorParams],
-    p=(1.0, 1.0),
-    w11: float = 1e-6,
-    coupling_shape=(1.0, 1.0),
-    c: float | None = None,
-    pos_max: float | None = None,
-    vel_max: float | None = None,
-    w22: float | None = None,
+    lambda2: float, params: Sequence[OscillatorParams], options: BoundsOptions, c: float | None, m_bound: float
 ) -> QuadCertificate:
     """Full Lyapunov certificate for a network with spectral gap lambda2.
 
     Rejects nodes without a common gamma (the decomposition behind the
     certificate needs one shared linear term), then evaluates
-    quad_cbar_direct and quad_epsilon_direct at that gamma.  epsilon is
-    filled in when a coupling strength c and the state bounds pos_max and
-    vel_max (typically measured from a pilot run, for m_bar) are given and
-    the side condition holds at c.
+    quad_cbar_direct and quad_epsilon_direct at that gamma and the shape
+    matrices of options.  epsilon, from the remainder bound m_bound (m_bar
+    at a pilot run's extrema), is filled in when c is given and the side
+    condition holds at c.
     """
     gamma = common_gamma(params)
     if gamma is None:
         raise ValueError("certificate requires identical gamma across nodes")
-    c_bar = quad_cbar_direct(lambda2, gamma, p, w11, coupling_shape, w22)
-    epsilon = None
-    if c is not None and pos_max is not None and vel_max is not None:
-        m_bound = m_bar(params, pos_max, vel_max)
-        epsilon = quad_epsilon_direct(c, lambda2, gamma, p, w11, coupling_shape, m_bound, len(params), w22)
+    p = (options.p11, options.p22)
+    shape = (options.gamma1, options.gamma2)
+    c_bar = quad_cbar_direct(lambda2, gamma, p, options.w11, shape, options.w22)
+    if c is None:
+        return QuadCertificate(c_bar=c_bar, epsilon=None)
+    epsilon = quad_epsilon_direct(c, lambda2, gamma, p, options.w11, shape, m_bound, len(params), options.w22)
     return QuadCertificate(c_bar=c_bar, epsilon=epsilon)

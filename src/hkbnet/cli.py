@@ -50,13 +50,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(config, args):
-    updates = {}
-    if args.out_dir is not None:
-        updates["out_dir"] = args.out_dir
-    if args.dt is not None:
-        updates["dt"] = args.dt
-    if args.duration is not None:
-        updates["duration"] = args.duration
+    flags = {"out_dir": args.out_dir, "dt": args.dt, "duration": args.duration}
+    updates = {name: value for name, value in flags.items() if value is not None}
+    swept = () if config.sweep is None else (config.sweep.field, config.sweep.field2)
+    for name in ("dt", "duration"):
+        if name in updates and f"simulation.{name}" in swept:
+            raise ConfigError(f"[sweep] simulation.{name} is swept, so --{name} cannot also set it")
     return dataclasses.replace(config, **updates) if updates else config
 
 

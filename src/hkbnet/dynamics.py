@@ -157,6 +157,11 @@ class Entrainment:
         if not 0.0 < self.frequency < math.inf:
             raise ValueError("frequency must be positive and finite")
 
+    @property
+    def active(self) -> bool:
+        """Whether the drive changes anything: enabled with a nonzero amplitude."""
+        return self.enabled and self.amplitude > 0.0
+
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
@@ -227,6 +232,7 @@ def network_field(
     lap = laplacian(topology)
     weights = topology.weights
     add_coupling = protocol.add_coupling
+    driven = entrainment.active
 
     def rhs(t: float, x: np.ndarray) -> np.ndarray:
         pos = x[:, 0]
@@ -235,7 +241,7 @@ def network_field(
         out[:, 0] = vel
         out[:, 1] = -(alpha * pos * pos + beta * vel * vel - gamma) * vel - omega_sq * pos
         add_coupling(out, x, lap, weights, counts)
-        if entrainment.enabled:
+        if driven:
             out[:, 1] += entrainment.amplitude * math.sin(entrainment.frequency * t)
         return out
 

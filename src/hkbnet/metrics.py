@@ -119,7 +119,7 @@ def entrainment_index(phases: PhaseSeries, entrainment: Entrainment) -> tuple[np
     The reference phase is computed analytically as frequency * t - pi/2
     (exact for a pure sine), not Hilbert-extracted.
     """
-    if not entrainment.enabled or entrainment.amplitude == 0.0:
+    if not entrainment.active:
         raise ValueError("no entrainment signal was active; index undefined")
     reference = wrap_phase(entrainment.frequency * phases.times - 0.5 * np.pi)
     per_node = np.abs(_unit_phasors(phases.phases - reference[:, None]).mean(axis=0))
@@ -152,7 +152,7 @@ def compute_sync_report(
     dyadic = dyadic_matrix(ph)
     rho_e_k = None
     rho_e = None
-    if entrainment is not None and entrainment.enabled and entrainment.amplitude > 0.0:
+    if entrainment is not None and entrainment.active:
         rho_e_k, rho_e = entrainment_index(ph, entrainment)
     rel = agent_relative_phase(ph)
     series = group_sync_series(rel.series, rel.mean_phase)

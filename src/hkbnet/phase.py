@@ -51,7 +51,8 @@ def analytic_signal(samples) -> np.ndarray:
     gain[0] = 1.0
     gain[padded_len // 2] = 1.0
     gain[1 : padded_len // 2] = 2.0
-    return np.fft.ifft(spec * gain)[:m]
+    spec *= gain
+    return np.fft.ifft(spec)[:m]
 
 
 def instantaneous_phase(samples) -> np.ndarray:

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import presets
+from .bounds import BoundsOptions
 from .dynamics import (
     PROTOCOL_KINDS,
     CouplingProtocol,
@@ -35,7 +36,7 @@ from .dynamics import (
     step_count,
     strength_fields,
 )
-from .graph import Topology, TopologyError, complete_graph, neighbor_lambda2
+from .graph import Topology, TopologyError, complete_graph
 from .metrics import SyncReport, compute_sync_report
 from .phase import PhaseSeries, phases_from_trajectory
 
@@ -61,32 +62,6 @@ class SweepSpec:
         if self.field2 == self.field:
             # the second axis would overwrite the first in every cell
             raise ValueError(f"field2 must differ from field ({self.field})")
-
-
-@dataclass(frozen=True)
-class BoundsOptions:
-    """Inputs for the bound evaluation attached to a run.
-
-    quad marks an explicit request for the Lyapunov certificate; it only
-    affects validation diagnostics, since bounds evaluation reports the
-    certificate whenever its hypotheses hold anyway.
-    """
-
-    quad: bool = False
-    p11: float = 1.0
-    p22: float = 1.0
-    w11: float = 1e-6
-    w22: float | None = None
-    gamma1: float = 1.0
-    gamma2: float = 1.0
-    z1_max: float | None = None
-    z2_max: float | None = None
-
-    def __post_init__(self):
-        for name in ("p11", "p22", "w11", "w22", "gamma1", "gamma2", "z1_max", "z2_max"):
-            value = getattr(self, name)
-            if value is not None and not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,7 +238,7 @@ def _read_parser(path: Path) -> dict[str, dict[str, str]]:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             cfg.read_file(handle)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except configparser.Error as exc:
         raise ConfigError(f"config syntax error in {path}: {exc}") from None
@@ -413,24 +388,17 @@ def validate_config(cfg: RunConfig) -> list[str]:
             f"({', '.join(strengths)}) is zero (coupling inactive)"
         )
     ent = cfg.entrainment
-    if ent.enabled and ent.amplitude == 0.0:
+    if ent.enabled and not ent.active:
         diagnostics.append("entrainment: enabled with zero amplitude (no effect)")
     # a swept entrainment field switches the entrainment on in every cell
     swept = () if cfg.sweep is None else (cfg.sweep.field, cfg.sweep.field2 or "")
     if not ent.enabled and ent.amplitude != 0.0 and not any(f.startswith("entrainment.") for f in swept):
         diagnostics.append(f"entrainment: amplitude {ent.amplitude:g} but not enabled (no effect)")
-    if cfg.bounds.quad and bounds_mod.common_gamma(cfg.params) is None:
-        diagnostics.append(
-            "bounds: quad bound requested but gamma differs across nodes "
-            "(certificate inapplicable)"
-        )
-    if cfg.bounds.quad and cfg.topology.is_connected():
-        lam2 = neighbor_lambda2(cfg.topology)
-        if not bounds_mod.has_spectral_gap(lam2):
-            diagnostics.append(
-                f"bounds: quad bound requested but lambda2 = {lam2:.3g} leaves no spectral gap "
-                "(certificate inapplicable)"
-            )
+    if cfg.bounds.quad:
+        _, failures = bounds_mod.quad_hypotheses(cfg.topology, cfg.params)
+        diagnostics += [
+            f"bounds: quad bound requested but {failure} (certificate inapplicable)" for failure in failures
+        ]
     return diagnostics
 
 
@@ -470,10 +438,11 @@ def bounds_rows(config: RunConfig, traj: Trajectory | None = None) -> tuple[tupl
     extrema = state_extrema(traj)
     z1 = config.bounds.z1_max if config.bounds.z1_max is not None else extrema.pos_max
     z2 = config.bounds.z2_max if config.bounds.z2_max is not None else extrema.vel_max
+    remainder = bounds_mod.m_bar(config.params, extrema.pos_max, extrema.vel_max)
     rows: list[tuple[str, float]] = [
         ("p_M", extrema.pos_max),
         ("v_M", extrema.vel_max),
-        ("m_bar", bounds_mod.m_bar(config.params, extrema.pos_max, extrema.vel_max)),
+        ("m_bar", remainder),
     ]
 
     window = bounds_mod.contraction_window(config.params, z1, z2)
@@ -485,24 +454,14 @@ def bounds_rows(config: RunConfig, traj: Trajectory | None = None) -> tuple[tupl
         ("topology_is_complete_unweighted", float(bounds_mod.is_complete_unweighted(config.topology))),
     ]
 
-    quad_ok = False
-    if config.topology.is_connected():
-        lam2 = neighbor_lambda2(config.topology)
+    lam2, failures = bounds_mod.quad_hypotheses(config.topology, config.params)
+    if lam2 is not None:
         rows.append(("lambda2", lam2))
-        quad_ok = bounds_mod.has_spectral_gap(lam2) and bounds_mod.common_gamma(config.params) is not None
+    quad_ok = lam2 is not None and not failures
     rows.append(("quad_applicable", float(quad_ok)))
     if quad_ok:
-        cert = bounds_mod.quad_certificate(
-            lam2,
-            config.params,
-            p=(config.bounds.p11, config.bounds.p22),
-            w11=config.bounds.w11,
-            coupling_shape=(config.bounds.gamma1, config.bounds.gamma2),
-            c=config.protocol.c if isinstance(config.protocol, FullState) else None,
-            pos_max=extrema.pos_max,
-            vel_max=extrema.vel_max,
-            w22=config.bounds.w22,
-        )
+        c = config.protocol.c if isinstance(config.protocol, FullState) else None
+        cert = bounds_mod.quad_certificate(lam2, config.params, config.bounds, c, remainder)
         rows.append(("c_bar", cert.c_bar))
         rows.append(("epsilon_applicable", float(cert.epsilon is not None)))
         if cert.epsilon is not None:
@@ -602,9 +561,17 @@ def _fmt(value) -> str:
     return format(float(value), ".9g")
 
 
+def _open_output(path: Path):
+    """Create path's directory and open path for writing, or raise ConfigError naming it."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return open(path, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ConfigError(f"[output] cannot write {path}: {exc}") from None
+
+
 def _write_csv(path: Path, header: Sequence[str], rows) -> Path:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+    with _open_output(path) as handle:
         handle.write(",".join(header) + "\n")
         for row in rows:
             handle.write(",".join(_fmt(v) for v in row) + "\n")
@@ -623,8 +590,7 @@ def _write_per_sample(path: Path, header: Sequence[str], times: np.ndarray, *col
     n = columns[0].shape[1] if per_node else 1
     template = "%.9g" + (",%d" if per_node else "") + ",%.9g" * len(columns) + "\n"
     nodes = np.arange(1, n + 1)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+    with _open_output(path) as handle:
         handle.write(",".join(header) + "\n")
         for start in range(0, len(times), _BLOCK_SAMPLES):
             block = slice(start, start + _BLOCK_SAMPLES)

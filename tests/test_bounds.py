@@ -1,10 +1,14 @@
 """Unit tests for the contraction and Lyapunov synchronization certificates."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from hkbnet import bounds as bounds_mod
 from hkbnet import runner
 from hkbnet.bounds import (
+    BoundsOptions,
     common_gamma,
     contraction_window,
     is_complete_unweighted,
@@ -12,6 +16,7 @@ from hkbnet.bounds import (
     quad_cbar_direct,
     quad_certificate,
     quad_epsilon_direct,
+    quad_hypotheses,
 )
 from hkbnet.dynamics import FullState, OscillatorParams, integrate, state_extrema
 from hkbnet.graph import Topology, complete_graph, neighbor_lambda2, random_weighted_graph
@@ -114,17 +119,16 @@ class TestQuadCbar:
         # lambda2 of the neighbor-normalized K5 Laplacian is 5/4; gamma is 0.58 on every node
         lam2 = neighbor_lambda2(complete_graph(5, 1.0))
         assert lam2 == pytest.approx(1.25)
-        cert = quad_certificate(lam2, VALIDATION5_PARAMS, p=(1.0, 1.0), w11=0.001)
+        cert = quad_certificate(lam2, VALIDATION5_PARAMS, BoundsOptions(p11=1.0, p22=1.0, w11=0.001), None, 0.0)
         assert cert.c_bar == pytest.approx(quad_cbar_direct(1.25, 0.58, (1.0, 1.0), 0.001))
 
     def test_disconnected_topology_raises(self):
         w = np.zeros((4, 4))
         w[0, 1] = w[1, 0] = 1.0
         w[2, 3] = w[3, 2] = 1.0
+        options = BoundsOptions(p11=1.0, p22=1.0, w11=0.001)
         with pytest.raises(ValueError, match="lambda2 is zero"):
-            quad_certificate(
-                neighbor_lambda2(Topology(w)), VALIDATION5_PARAMS[:4], p=(1.0, 1.0), w11=0.001
-            )
+            quad_certificate(neighbor_lambda2(Topology(w)), VALIDATION5_PARAMS[:4], options, None, 0.0)
 
 
 class TestQuadEpsilon:
@@ -166,23 +170,23 @@ class TestQuadEpsilon:
 class TestQuadCertificate:
     def test_heterogeneous_gamma_rejected(self):
         with pytest.raises(ValueError, match="identical gamma"):
-            quad_certificate(neighbor_lambda2(complete_graph(6, 1.0)), ROCKING6_PARAMS)
+            quad_certificate(
+                neighbor_lambda2(complete_graph(6, 1.0)), ROCKING6_PARAMS, BoundsOptions(), None, 0.0
+            )
 
     def test_certificate_fields(self):
-        cert = quad_certificate(
-            neighbor_lambda2(complete_graph(5, 1.0)), VALIDATION5_PARAMS, p=(0.077, 0.077), w11=0.001,
-            c=2.0, pos_max=2.6, vel_max=0.96,
-        )
+        options = BoundsOptions(p11=0.077, p22=0.077, w11=0.001)
+        lam2 = neighbor_lambda2(complete_graph(5, 1.0))
+        cert = quad_certificate(lam2, VALIDATION5_PARAMS, options, 2.0, m_bar(VALIDATION5_PARAMS, 2.6, 0.96))
         # lambda2 = 5/4 for K5, and w22 defaults to gamma * p22 = 0.58 * 0.077
         assert cert.c_bar == pytest.approx(0.58 * 0.077 / (1.25 * 0.077))
         gap = 2.0 * 1.25 * 0.077 - 0.58 * 0.077
         assert cert.epsilon == pytest.approx(np.sqrt(5.0) * m_bar(VALIDATION5_PARAMS, 2.6, 0.96) * 0.077 / gap)
 
     def test_epsilon_absent_below_side_condition(self):
-        cert = quad_certificate(
-            neighbor_lambda2(complete_graph(5, 1.0)), VALIDATION5_PARAMS, p=(0.077, 0.077), w11=0.001,
-            c=0.01, pos_max=2.6, vel_max=0.96,
-        )
+        options = BoundsOptions(p11=0.077, p22=0.077, w11=0.001)
+        lam2 = neighbor_lambda2(complete_graph(5, 1.0))
+        cert = quad_certificate(lam2, VALIDATION5_PARAMS, options, 0.01, m_bar(VALIDATION5_PARAMS, 2.6, 0.96))
         assert cert.epsilon is None
 
     @pytest.mark.parametrize("delta, shared", [(1.5e-9, True), (2.5e-9, False)])
@@ -203,10 +207,31 @@ class TestQuadCertificate:
         rows = dict(runner.bounds_rows(config))
         assert rows["quad_applicable"] == float(shared)
         if shared:
-            assert quad_certificate(rows["lambda2"], params).c_bar == rows["c_bar"]
+            assert quad_certificate(rows["lambda2"], params, BoundsOptions(), None, 0.0).c_bar == rows["c_bar"]
         else:
             with pytest.raises(ValueError, match="identical gamma"):
-                quad_certificate(rows["lambda2"], params)
+                quad_certificate(rows["lambda2"], params, BoundsOptions(), None, 0.0)
+
+    def test_hypotheses_fail_in_order(self):
+        # a 1e-10 bridge keeps the path connected but leaves lambda2 below tolerance
+        bridge = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1e-10], [0.0, 1e-10, 0.0]])
+        lam2, failures = quad_hypotheses(Topology(bridge), ROCKING6_PARAMS[:3])
+        assert failures == ["gamma differs across nodes", f"lambda2 = {lam2:.3g} leaves no spectral gap"]
+        lam2, failures = quad_hypotheses(complete_graph(5, 1.0), VALIDATION5_PARAMS)
+        assert lam2 == pytest.approx(1.25) and failures == []
+
+    def test_disconnected_graph_has_no_lambda2(self):
+        w = np.zeros((4, 4))
+        w[0, 1] = w[1, 0] = w[2, 3] = w[3, 2] = 1.0
+        assert quad_hypotheses(Topology(w), VALIDATION5_PARAMS[:4]) == (None, [])
+        assert quad_hypotheses(Topology(w), ROCKING6_PARAMS[:4]) == (None, ["gamma differs across nodes"])
+
+    def test_m_bar_once_per_bounds_rows(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(bounds_mod, "m_bar", lambda *args: calls.append(args) or m_bar(*args))
+        rows = dict(runner.bounds_rows(dataclasses.replace(runner.preset_config("validation5"), duration=5.0)))
+        assert len(calls) == 1
+        assert rows["m_bar"] == m_bar(*calls[0]) and rows["epsilon_applicable"] == 0.0
 
 
 class TestEmpiricalSoundness:
@@ -249,14 +274,12 @@ class TestEmpiricalSoundness:
         ]
         x0 = rng.uniform(-1.5, 1.5, size=(n, 2))
         lam2 = neighbor_lambda2(top)
-        c_bar = quad_certificate(lam2, params, p=(1.0, 1.0), w11=1e-6).c_bar
+        options = BoundsOptions(p11=1.0, p22=1.0, w11=1e-6)
+        c_bar = quad_certificate(lam2, params, options, None, 0.0).c_bar
         c = 2.0 * c_bar
         traj = integrate(params, top, FullState(c), x0, 200.0, 0.01)
         extrema = state_extrema(traj)
-        cert = quad_certificate(
-            lam2, params, p=(1.0, 1.0), w11=1e-6, c=c,
-            pos_max=extrema.pos_max, vel_max=extrema.vel_max,
-        )
+        cert = quad_certificate(lam2, params, options, c, m_bar(params, extrema.pos_max, extrema.vel_max))
         eta = tracking_error_norm(traj)
         assert cert.epsilon is not None
         assert eta[int(0.75 * eta.size):].max() < cert.epsilon

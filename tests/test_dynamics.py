@@ -344,6 +344,11 @@ class TestIntegrate:
         )
         assert np.array_equal(plain.states, driven.states)
 
+    def test_entrainment_active_needs_enabled_and_amplitude(self):
+        assert Entrainment(amplitude=0.2, enabled=True).active
+        assert not Entrainment(amplitude=0.0, enabled=True).active
+        assert not Entrainment(amplitude=0.2, enabled=False).active
+
     def test_rejects_bad_steps(self):
         top = complete_graph(2, 1.0)
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hkbnet import graph
-from hkbnet.bounds import quad_certificate
+from hkbnet.bounds import BoundsOptions, quad_certificate
 from hkbnet.presets import VALIDATION5_PARAMS, validation5_topology
 
 
@@ -165,7 +165,7 @@ class TestSpectrum:
         assert abs(result.eigenvalues[0]) < 1e-10
         assert np.abs(result.eigenvalues[1:] - 4.0).max() < 1e-10
 
-    def test_asymmetric_without_hint_raises(self):
+    def test_asymmetric_raises(self):
         m = np.array([[0.0, 1.0], [2.0, 0.0]])
         with pytest.raises(ValueError, match="symmetric"):
             graph.spectrum(m)
@@ -205,8 +205,8 @@ class TestKronLambda2:
     @staticmethod
     def gap(topology, p, shape):
         params = VALIDATION5_PARAMS[: topology.n]  # one shared gamma
-        cert = quad_certificate(graph.neighbor_lambda2(topology), params, p=p, w11=1.0, coupling_shape=shape,
-                                w22=1.0)
+        options = BoundsOptions(p11=p[0], p22=p[1], w11=1.0, w22=1.0, gamma1=shape[0], gamma2=shape[1])
+        cert = quad_certificate(graph.neighbor_lambda2(topology), params, options, None, 0.0)
         return 1.0 / cert.c_bar
 
     def test_fixture_with_shape_matrix(self):

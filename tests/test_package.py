@@ -1,4 +1,6 @@
-"""Tests of the package as a whole: its exception classes and the README's library example."""
+"""Tests of the package as a whole: its exception classes, the runner's
+use of the certificate, and the README's library example.
+"""
 
 import ast
 import builtins
@@ -40,6 +42,14 @@ def test_every_exception_class_is_caught():
     caught = _names(node.type for node in nodes if isinstance(node, ast.ExceptHandler) and node.type)
     assert defined, "no exception class found; the scan is broken"
     assert sorted(defined - caught) == []
+
+
+def test_runner_leaves_the_certificate_hypotheses_to_bounds():
+    # bounds.quad_hypotheses alone decides where the Lyapunov certificate applies
+    tree = ast.parse((PACKAGE / "runner.py").read_text(encoding="utf-8"))
+    names = _names([tree]) | {node.name for node in ast.walk(tree) if isinstance(node, ast.alias)}
+    assert "quad_hypotheses" in names, "quad_hypotheses not found; the scan is broken"
+    assert sorted(names & {"common_gamma", "has_spectral_gap", "neighbor_lambda2"}) == []
 
 
 def test_readme_library_use_runs(capsys):

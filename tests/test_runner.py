@@ -569,6 +569,11 @@ CONTRACT_INPUTS = [
     pytest.param([], ("[output]", "[bounds]\nz1_max = 0\n\n[output]"), "[bounds]", id="z1-max-zero"),
     pytest.param([], ("[output]", "[bounds]\ngamma1 = -1\n\n[output]"), "[bounds]",
                  id="gamma1-negative"),
+    pytest.param(["--duration", "5"], ("field = protocol.c", "field = simulation.duration"),
+                 "[sweep] simulation.duration is swept, so --duration", id="duration-flag-on-swept-duration"),
+    pytest.param(["--dt", "0.005"],
+                 ("field = protocol.c\nvalues = 0.1 0.2", "field = simulation.dt\nvalues = 0.01 0.02"),
+                 "[sweep] simulation.dt is swept, so --dt", id="dt-flag-on-swept-dt"),
 ]
 
 
@@ -656,6 +661,25 @@ class TestCli:
         blocker.write_text("")
         assert cli.main([verb, str(path), "--out-dir", str(blocker / "x")]) == cli.EXIT_CONFIG
         assert "[output]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "verb, name", [("run", "trajectory.csv"), ("sweep", "sweep.csv"), ("bounds", "bounds.csv")]
+    )
+    def test_output_file_that_is_a_directory_exits_config(self, verb, name, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text(GOOD_CONFIG + "\n[sweep]\nfield = protocol.c\nvalues = 0.1 0.2\n")
+        (tmp_path / "out" / name).mkdir(parents=True)
+        assert cli.main([verb, str(path), "--out-dir", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+        assert f"[output] cannot write {tmp_path / 'out' / name}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["run", "sweep", "bounds", "validate"])
+    def test_config_not_utf8_exits_config(self, verb, tmp_path, capsys):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(b"# caf\xff\n" + GOOD_CONFIG.encode())
+        out = tmp_path / "out"
+        assert cli.main([verb, str(path), "--out-dir", str(out)]) == cli.EXIT_CONFIG
+        assert f"cannot read config {path}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("verb", ["run", "sweep"])
     def test_node_that_never_moves_exits_config(self, verb, tmp_path, capsys):
