@@ -74,6 +74,7 @@ from .runner import (
     SweepCell,
     SweepSpec,
     bounds_rows,
+    evaluate_bounds,
     load_config,
     preset_config,
     run,
@@ -81,7 +82,6 @@ from .runner import (
     simulate,
     sweep,
     validate_config,
-    write_bounds_csv,
     write_outputs,
 )
 

@@ -9,19 +9,17 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from pathlib import Path
 
 from .dynamics import DivergenceError
 from .phase import DegenerateSignalError
 from .runner import (
     ConfigError,
     PRESET_NAMES,
-    bounds_rows,
+    evaluate_bounds,
     load_config,
     run,
     sweep,
     validate_config,
-    write_bounds_csv,
 )
 
 EXIT_OK = 0
@@ -66,12 +64,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if args.command != "validate":
-        try:
-            Path(config.out_dir).mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            print(f"error: [output] cannot create directory {config.out_dir}: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
 
     try:
         if args.command == "validate":
@@ -91,14 +83,13 @@ def main(argv=None) -> int:
                 print(f"wrote {path}")
             return EXIT_OK
         if args.command == "sweep":
-            cells = sweep(config)
+            cells, path = sweep(config)
             diverged = sum(1 for c in cells if c.report is None)
             print(f"{config.label}: {len(cells)} cells, {diverged} diverged")
-            print(f"wrote {Path(config.out_dir) / 'sweep.csv'}")
+            print(f"wrote {path}")
             return EXIT_OK
         if args.command == "bounds":
-            rows = bounds_rows(config)
-            path = write_bounds_csv(rows, config.out_dir)
+            rows, path = evaluate_bounds(config)
             for quantity, value in rows:
                 print(f"{quantity} = {value:.6g}")
             print(f"wrote {path}")

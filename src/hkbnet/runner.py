@@ -9,6 +9,7 @@ options, "Command line" for the checks every RunConfig passes, and
 from __future__ import annotations
 
 import configparser
+import contextlib
 import dataclasses
 import math
 from dataclasses import dataclass
@@ -318,6 +319,14 @@ def load_config(source: str | Path) -> RunConfig:
         raise ConfigError(f"{name!r} is neither a preset name nor an existing config file")
     sections = _read_parser(path)
 
+    table = _parse_matrix(_take(sections, "nodes", "table", ""), "nodes", "table")
+    if table.shape[1] != 6:
+        raise ConfigError("[nodes] table rows must hold: alpha beta gamma omega pos0 vel0")
+    try:
+        params = tuple(OscillatorParams(*row[:4]) for row in table)
+    except ValueError as exc:
+        raise ConfigError(f"[nodes] table: {exc}") from None
+
     # Topology: an inline matrix or the complete-graph shorthand.
     weights = _take(sections, "network", "weights")
     if weights is not None:
@@ -330,21 +339,18 @@ def load_config(source: str | Path) -> RunConfig:
             n = int(_take(sections, "network", "nodes", ""))
         except ValueError:
             raise ConfigError("[network] preset=complete needs an integer 'nodes'") from None
+        # the n x n matrix is built only for a count the table already holds
+        if n != len(table):
+            raise ConfigError(f"[network] nodes = {n}, but the [nodes] table has {len(table)} rows")
         weight = _take(sections, "network", "weight", "1.0")
         try:
             topology = complete_graph(n, _finite_float(weight, "network", "weight"))
         except TopologyError as exc:
             raise ConfigError(f"[network] {exc}") from None
+        except MemoryError:
+            raise ConfigError(f"[network] nodes = {n}: the {n} x {n} weight matrix does not fit in memory") from None
     else:
         raise ConfigError("[network] needs either 'weights' or 'preset = complete'")
-
-    table = _parse_matrix(_take(sections, "nodes", "table", ""), "nodes", "table")
-    if table.shape[1] != 6:
-        raise ConfigError("[nodes] table rows must hold: alpha beta gamma omega pos0 vel0")
-    try:
-        params = tuple(OscillatorParams(*row[:4]) for row in table)
-    except ValueError as exc:
-        raise ConfigError(f"[nodes] table: {exc}") from None
 
     kind = _take(sections, "protocol", "kind", "none").lower()
     if kind not in PROTOCOL_KINDS:
@@ -425,16 +431,14 @@ def simulate(config: RunConfig) -> RunResult:
     return RunResult(config=config, trajectory=traj, phases=phases, report=report, bounds_rows=rows)
 
 
-def bounds_rows(config: RunConfig, traj: Trajectory | None = None) -> tuple[tuple[str, float], ...]:
+def bounds_rows(config: RunConfig, traj: Trajectory) -> tuple[tuple[str, float], ...]:
     """Evaluate both analytic certificates as (quantity, value) rows.
 
     Infeasible or inapplicable outcomes become 0/1 flag rows, never
     exceptions: the certificates are sufficient conditions and the bundled
     scenarios intentionally operate below them.  State bounds default to the
-    extrema of the supplied pilot trajectory.
+    extrema of the pilot trajectory traj.
     """
-    if traj is None:
-        traj = _integrate(config)
     extrema = state_extrema(traj)
     z1 = config.bounds.z1_max if config.bounds.z1_max is not None else extrema.pos_max
     z2 = config.bounds.z2_max if config.bounds.z2_max is not None else extrema.vel_max
@@ -513,6 +517,11 @@ def _sweep_grid(config: RunConfig) -> list[tuple[float, float | None, RunConfig]
     return grid
 
 
+def _require_sweep(config: RunConfig) -> None:
+    if config.sweep is None:
+        raise ConfigError("configuration has no [sweep] section")
+
+
 def _cell_report(config: RunConfig) -> CellReport | None:
     """Simulate one sweep cell and keep its three scalars, or None if it diverges.
 
@@ -534,8 +543,7 @@ def run_sweep(config: RunConfig) -> list[SweepCell]:
     the rest of the grid, and any other error propagates.  Each cell keeps
     only its three scalars, so memory does not grow with cells x samples.
     """
-    if config.sweep is None:
-        raise ConfigError("configuration has no [sweep] section")
+    _require_sweep(config)
     return [SweepCell(v1, v2, _cell_report(cell_cfg)) for v1, v2, cell_cfg in _sweep_grid(config)]
 
 
@@ -561,8 +569,9 @@ def _fmt(value) -> str:
     return format(float(value), ".9g")
 
 
-def _open_output(path: Path):
-    """Create path's directory and open path for writing, or raise ConfigError naming it."""
+def _open_output(out_dir: str, name: str):
+    """Create out_dir and open the file name in it for writing, or raise ConfigError naming the file."""
+    path = Path(out_dir) / name
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         return open(path, "w", encoding="utf-8", newline="\n")
@@ -570,15 +579,13 @@ def _open_output(path: Path):
         raise ConfigError(f"[output] cannot write {path}: {exc}") from None
 
 
-def _write_csv(path: Path, header: Sequence[str], rows) -> Path:
-    with _open_output(path) as handle:
-        handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(_fmt(v) for v in row) + "\n")
-    return path
+def _write_csv(handle, header: Sequence[str], rows) -> None:
+    handle.write(",".join(header) + "\n")
+    for row in rows:
+        handle.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _write_per_sample(path: Path, header: Sequence[str], times: np.ndarray, *columns: np.ndarray) -> Path:
+def _write_per_sample(handle, header: Sequence[str], times: np.ndarray, *columns: np.ndarray) -> None:
     """Write one row per sample of 1-D columns, or per sample and node of 2-D ones.
 
     A row is the time, the 1-based node number for 2-D columns, then one
@@ -590,35 +597,35 @@ def _write_per_sample(path: Path, header: Sequence[str], times: np.ndarray, *col
     n = columns[0].shape[1] if per_node else 1
     template = "%.9g" + (",%d" if per_node else "") + ",%.9g" * len(columns) + "\n"
     nodes = np.arange(1, n + 1)
-    with _open_output(path) as handle:
-        handle.write(",".join(header) + "\n")
-        for start in range(0, len(times), _BLOCK_SAMPLES):
-            block = slice(start, start + _BLOCK_SAMPLES)
-            t = times[block]
-            lead = [np.repeat(t, n).tolist()]
-            if per_node:
-                lead.append(np.tile(nodes, len(t)).tolist())
-            values = [column[block].ravel().tolist() for column in columns]
-            handle.write("".join(map(template.__mod__, zip(*lead, *values))))
-    return path
+    handle.write(",".join(header) + "\n")
+    for start in range(0, len(times), _BLOCK_SAMPLES):
+        block = slice(start, start + _BLOCK_SAMPLES)
+        t = times[block]
+        lead = [np.repeat(t, n).tolist()]
+        if per_node:
+            lead.append(np.tile(nodes, len(t)).tolist())
+        values = [column[block].ravel().tolist() for column in columns]
+        handle.write("".join(map(template.__mod__, zip(*lead, *values))))
 
 
-def write_outputs(result: RunResult) -> RunResult:
-    """Write the full artifact bundle for one run into its config's out_dir and record the paths."""
-    base = Path(result.config.out_dir)
+# The files of a run's bundle, in the order write_outputs fills them.
+RUN_FILES = ("trajectory.csv", "phases.csv", "rho_g_series.csv", "eta_series.csv", "sync_report.csv", "bounds.csv")
+_BOUNDS_HEADER = ("quantity", "value")
+
+
+def write_outputs(result: RunResult, handles) -> RunResult:
+    """Write the artifact bundle for one run into handles, open on RUN_FILES in order, and record their paths."""
+    trajectory, phases, rho_g, eta, sync_report, bounds_csv = handles
     times = result.trajectory.times
     states = result.trajectory.states
     report = result.report
-    written = (
-        _write_per_sample(base / "trajectory.csv", ("t", "node", "pos", "vel"),
-                          times, states[:, :, 0], states[:, :, 1]),
-        _write_per_sample(base / "phases.csv", ("t", "node", "theta"), times, result.phases.phases),
-        _write_per_sample(base / "rho_g_series.csv", ("t", "rho_g"), times, report.rho_g_series),
-        _write_per_sample(base / "eta_series.csv", ("t", "eta"), times, report.eta_series),
-        _write_csv(base / "sync_report.csv", ("metric", "node_or_pair", "value"), _report_rows(report)),
-        write_bounds_csv(result.bounds_rows, base),
-    )
-    return dataclasses.replace(result, written=written)
+    _write_per_sample(trajectory, ("t", "node", "pos", "vel"), times, states[:, :, 0], states[:, :, 1])
+    _write_per_sample(phases, ("t", "node", "theta"), times, result.phases.phases)
+    _write_per_sample(rho_g, ("t", "rho_g"), times, report.rho_g_series)
+    _write_per_sample(eta, ("t", "eta"), times, report.eta_series)
+    _write_csv(sync_report, ("metric", "node_or_pair", "value"), _report_rows(report))
+    _write_csv(bounds_csv, _BOUNDS_HEADER, result.bounds_rows)
+    return dataclasses.replace(result, written=tuple(Path(handle.name) for handle in handles))
 
 
 def _report_rows(report: SyncReport):
@@ -639,30 +646,36 @@ def _report_rows(report: SyncReport):
     return rows
 
 
-def write_bounds_csv(rows, out_dir: str | Path) -> Path:
-    """Write (quantity, value) rows as bounds.csv under out_dir."""
-    return _write_csv(Path(out_dir) / "bounds.csv", ("quantity", "value"), rows)
-
-
 def run(config: RunConfig) -> RunResult:
-    """Simulate one configuration and write its artifact bundle into config.out_dir."""
-    return write_outputs(simulate(config))
+    """Open the artifact bundle's files in config.out_dir, simulate, and write the bundle into them."""
+    with contextlib.ExitStack() as stack:
+        handles = [stack.enter_context(_open_output(config.out_dir, name)) for name in RUN_FILES]
+        return write_outputs(simulate(config), handles)
 
 
-def sweep(config: RunConfig) -> list[SweepCell]:
-    """Run the sweep grid and write the long-form sweep.csv into config.out_dir."""
-    cells = run_sweep(config)
-    base = Path(config.out_dir)
-    rows = []
-    for cell in cells:
-        rows.append(
-            (
-                cell.value1,
-                cell.value2,
-                None if cell.report is None else cell.report.rho_g_mean,
-                None if cell.report is None else cell.report.rho_g_std,
-                None if cell.report is None else cell.report.rho_e,
+def sweep(config: RunConfig) -> tuple[list[SweepCell], Path]:
+    """Open sweep.csv in config.out_dir, run the sweep grid, and write the long-form cells into it."""
+    _require_sweep(config)
+    with _open_output(config.out_dir, "sweep.csv") as handle:
+        cells = run_sweep(config)
+        rows = []
+        for cell in cells:
+            rows.append(
+                (
+                    cell.value1,
+                    cell.value2,
+                    None if cell.report is None else cell.report.rho_g_mean,
+                    None if cell.report is None else cell.report.rho_g_std,
+                    None if cell.report is None else cell.report.rho_e,
+                )
             )
-        )
-    _write_csv(base / "sweep.csv", ("param1", "param2", "rho_g_mean", "rho_g_std", "rho_E"), rows)
-    return cells
+        _write_csv(handle, ("param1", "param2", "rho_g_mean", "rho_g_std", "rho_E"), rows)
+    return cells, Path(handle.name)
+
+
+def evaluate_bounds(config: RunConfig) -> tuple[tuple[tuple[str, float], ...], Path]:
+    """Open bounds.csv in config.out_dir, integrate the pilot run, and write bounds_rows into it."""
+    with _open_output(config.out_dir, "bounds.csv") as handle:
+        rows = bounds_rows(config, _integrate(config))
+        _write_csv(handle, _BOUNDS_HEADER, rows)
+    return rows, Path(handle.name)

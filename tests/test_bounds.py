@@ -204,7 +204,7 @@ class TestQuadCertificate:
         )
         assert (common_gamma(params) is not None) == shared
         assert (runner.validate_config(config) == []) == shared
-        rows = dict(runner.bounds_rows(config))
+        rows = dict(runner.bounds_rows(config, runner._integrate(config)))
         assert rows["quad_applicable"] == float(shared)
         if shared:
             assert quad_certificate(rows["lambda2"], params, BoundsOptions(), None, 0.0).c_bar == rows["c_bar"]
@@ -229,7 +229,8 @@ class TestQuadCertificate:
     def test_m_bar_once_per_bounds_rows(self, monkeypatch):
         calls = []
         monkeypatch.setattr(bounds_mod, "m_bar", lambda *args: calls.append(args) or m_bar(*args))
-        rows = dict(runner.bounds_rows(dataclasses.replace(runner.preset_config("validation5"), duration=5.0)))
+        config = dataclasses.replace(runner.preset_config("validation5"), duration=5.0)
+        rows = dict(runner.bounds_rows(config, runner._integrate(config)))
         assert len(calls) == 1
         assert rows["m_bar"] == m_bar(*calls[0]) and rows["epsilon_applicable"] == 0.0
 

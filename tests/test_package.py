@@ -1,9 +1,11 @@
 """Tests of the package as a whole: its exception classes, the runner's
-use of the certificate, and the README's library example.
+use of the certificate, the cli's hands-off output files, and the README's
+library example.
 """
 
 import ast
 import builtins
+import re
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -50,6 +52,17 @@ def test_runner_leaves_the_certificate_hypotheses_to_bounds():
     names = _names([tree]) | {node.name for node in ast.walk(tree) if isinstance(node, ast.alias)}
     assert "quad_hypotheses" in names, "quad_hypotheses not found; the scan is broken"
     assert sorted(names & {"common_gamma", "has_spectral_gap", "neighbor_lambda2"}) == []
+
+
+def test_cli_leaves_the_output_files_to_runner():
+    # runner alone names, creates and opens a verb's output files, before the verb integrates
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    called = _names(node.func for node in ast.walk(tree) if isinstance(node, ast.Call))
+    assert "print" in called, "no call found; the scan is broken"
+    assert sorted(called & {"mkdir", "open"}) == []
+    # a file name, not help text that mentions one
+    texts = [node.value for node in ast.walk(tree) if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    assert [text for text in texts if re.fullmatch(r"\S+\.csv", text)] == []
 
 
 def test_readme_library_use_runs(capsys):

@@ -188,6 +188,16 @@ class TestConfigParsing:
         assert cfg.topology.n == 6
         assert cfg.protocol == HkbCoupling(-1.0, -1.0, 0.15)
 
+    def test_complete_graph_out_of_memory_exits_config(self, tmp_path, monkeypatch):
+        def no_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(runner, "complete_graph", no_memory)
+        path = tmp_path / "complete.cfg"
+        path.write_text(GOOD_CONFIG.replace(COMPLETE_WEIGHTS, "preset = complete\nnodes = 2"))
+        with pytest.raises(runner.ConfigError, match=re.escape("[network] nodes = 2")):
+            runner.load_config(path)
+
     def test_nonexistent_source(self):
         with pytest.raises(runner.ConfigError):
             runner.load_config("no/such/file.cfg")
@@ -397,7 +407,8 @@ class TestBlockWriter:
         ]
         for header, arrays, rows in cases:
             _row_writer(tmp_path / "rows.csv", header, rows)
-            runner._write_per_sample(tmp_path / "blocks.csv", header, *arrays)
+            with open(tmp_path / "blocks.csv", "w", encoding="utf-8", newline="\n") as handle:
+                runner._write_per_sample(handle, header, *arrays)
             assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes(), header
 
 
@@ -410,7 +421,8 @@ class TestSweep:
             sweep=runner.SweepSpec(field="protocol.c", values=(0.05, 0.15)),
             out_dir=str(tmp_path),
         )
-        cells = runner.sweep(cfg)
+        cells, path = runner.sweep(cfg)
+        assert path == tmp_path / "sweep.csv"
         assert [c.value1 for c in cells] == [0.05, 0.15]
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert lines[0] == "param1,param2,rho_g_mean,rho_g_std,rho_E"
@@ -446,7 +458,7 @@ class TestSweep:
             "[sweep]\nfield = protocol.c\nvalues = 0.01 0.02\n"
         )
         cfg = dataclasses.replace(runner.load_config(path), out_dir=str(tmp_path))
-        cells = runner.sweep(cfg)
+        cells, _ = runner.sweep(cfg)
         assert len(cells) == 2
         assert all(c.report is None for c in cells)
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
@@ -545,6 +557,9 @@ CONTRACT_INPUTS = [
                  id="complete-weight-zero"),
     pytest.param([], (COMPLETE_WEIGHTS, "preset = complete\nnodes = 1"), "[network]",
                  id="complete-one-node"),
+    # a 10^7-node complete graph would take 728 TiB, so the count is checked against the table first
+    pytest.param([], (COMPLETE_WEIGHTS, "preset = complete\nnodes = 10000000"), "[network] nodes",
+                 id="complete-nodes-above-table"),
     pytest.param([], (ROW1, ROW1.replace("0.31", "inf")), "[nodes]", id="omega-inf"),
     pytest.param([], (ROW1, ROW1.replace("-1.4", "nan")), "[nodes]", id="pos0-nan"),
     pytest.param([], ("values = 0.1 0.2", "values = nan 0.2"), "[sweep]", id="sweep-value-nan"),
@@ -575,6 +590,17 @@ CONTRACT_INPUTS = [
                  ("field = protocol.c\nvalues = 0.1 0.2", "field = simulation.dt\nvalues = 0.01 0.02"),
                  "[sweep] simulation.dt is swept, so --dt", id="dt-flag-on-swept-dt"),
 ]
+
+# The files each writing verb opens in its output directory before it integrates.
+VERB_FILES = {
+    "run": ("trajectory.csv", "phases.csv", "rho_g_series.csv", "eta_series.csv", "sync_report.csv", "bounds.csv"),
+    "sweep": ("sweep.csv",),
+    "bounds": ("bounds.csv",),
+}
+
+
+def _no_integration(*args, **kwargs):
+    raise AssertionError("integrated before the output files were opened")
 
 
 class TestCli:
@@ -614,8 +640,11 @@ class TestCli:
             "[nodes]\ntable =\n    0 0 6.0 0.1 0.1 0\n    0 0 6.0 0.1 0.1 0\n\n"
             "[protocol]\nkind = none\n\n[simulation]\nduration = 10\ndt = 0.01\n"
         )
+        (tmp_path / "sync_report.csv").write_text("stale\n")
         assert cli.main(["run", str(path), "--out-dir", str(tmp_path)]) == cli.EXIT_DIVERGED
         assert "divergence" in capsys.readouterr().err
+        # the bundle was opened before integrating: every file is left empty, the stale one too
+        assert {p.name: p.read_bytes() for p in tmp_path.glob("*.csv")} == dict.fromkeys(VERB_FILES["run"], b"")
 
     def test_bounds_verb(self, tmp_path, capsys):
         code = cli.main(
@@ -651,21 +680,17 @@ class TestCli:
 
     @pytest.mark.parametrize("verb", ["run", "sweep", "bounds"])
     def test_unwritable_out_dir_exits_before_integrating(self, verb, tmp_path, capsys, monkeypatch):
-        def no_integration(*args, **kwargs):
-            raise AssertionError("integrated before the output directory was checked")
-
-        monkeypatch.setattr(runner, "integrate", no_integration)
+        monkeypatch.setattr(runner, "integrate", _no_integration)
         path = tmp_path / "run.cfg"
         path.write_text(GOOD_CONFIG + "\n[sweep]\nfield = protocol.c\nvalues = 0.1 0.2\n")
         blocker = tmp_path / "file"
         blocker.write_text("")
         assert cli.main([verb, str(path), "--out-dir", str(blocker / "x")]) == cli.EXIT_CONFIG
-        assert "[output]" in capsys.readouterr().err
+        assert f"[output] cannot write {blocker / 'x'}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "verb, name", [("run", "trajectory.csv"), ("sweep", "sweep.csv"), ("bounds", "bounds.csv")]
-    )
-    def test_output_file_that_is_a_directory_exits_config(self, verb, name, tmp_path, capsys):
+    @pytest.mark.parametrize("verb, name", [(verb, name) for verb, names in VERB_FILES.items() for name in names])
+    def test_output_file_that_is_a_directory_exits_config(self, verb, name, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(runner, "integrate", _no_integration)
         path = tmp_path / "run.cfg"
         path.write_text(GOOD_CONFIG + "\n[sweep]\nfield = protocol.c\nvalues = 0.1 0.2\n")
         (tmp_path / "out" / name).mkdir(parents=True)
@@ -692,6 +717,8 @@ class TestCli:
         assert cli.main([verb, str(path), "--out-dir", str(tmp_path / "out")]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert "[nodes]" in err and "node 2" in err
+        # the verb stopped after opening its files, so it leaves them empty
+        assert {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()} == dict.fromkeys(VERB_FILES[verb], b"")
 
     @pytest.mark.parametrize("verb", ["run", "sweep"])
     def test_cluster_phase_never_defined_exits_config(self, verb, tmp_path, capsys):
