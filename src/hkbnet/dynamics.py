@@ -23,6 +23,10 @@ from .graph import Topology, laplacian
 # Integration aborts once any state component leaves this box.
 STATE_MAGNITUDE_LIMIT = 1e6
 
+# integrate checks the box once per this many stored steps and reports the
+# first step outside it; a per-step check cost one numpy reduction a step.
+_CHECK_BLOCK = 256
+
 
 class DivergenceError(RuntimeError):
     """Integration left the trusted state region (NaN, Inf, or runaway growth)."""
@@ -66,12 +70,19 @@ def strength_fields(protocol) -> tuple[str, ...]:
     return tuple(f.name for f in dataclasses.fields(protocol) if f.metadata.get("strength"))
 
 
+def _columns(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a, pos view, vel view) of an (n, 2) array: the form the in-place field and couplings take."""
+    return a, a[:, 0], a[:, 1]
+
+
 class _Protocol:
     """Base of the coupling protocols; rejects a negative strength and any non-finite field.
 
-    Each protocol's add_coupling(field, x, lap, weights, counts) adds its
-    interaction to the (n, 2) network field in place, given the states x,
-    the graph Laplacian, the weight matrix and the neighbor counts.  The
+    Each protocol's bind(lap, weights, counts) takes the graph Laplacian, the
+    weight matrix and the neighbor counts, and returns couple(field, x): it
+    adds the interaction at the states x to the (n, 2) network field in
+    place, both given as _columns triples.  couple computes its constants
+    once and owns its scratch buffers; NoCoupling binds to None.  The
     average mismatch is taken over the neighbor count, not the weighted
     degree, so every protocol is diffusive: it adds nothing when all nodes
     share one state.
@@ -85,13 +96,19 @@ class _Protocol:
             if not math.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite")
 
+    def add_coupling(self, field, x, lap, weights, counts) -> None:
+        """Add the interaction at the (n, 2) states x to field in place."""
+        couple = self.bind(lap, weights, counts)
+        if couple is not None:
+            couple(_columns(field), _columns(x))
+
 
 @dataclass(frozen=True)
 class NoCoupling(_Protocol):
     """Isolated nodes: every interaction term is zero."""
 
-    def add_coupling(self, field, x, lap, weights, counts) -> None:
-        pass
+    def bind(self, lap, weights, counts) -> None:
+        return None
 
 
 @dataclass(frozen=True)
@@ -100,8 +117,17 @@ class FullState(_Protocol):
 
     c: float = _strength()
 
-    def add_coupling(self, field, x, lap, weights, counts) -> None:
-        field -= (self.c / counts)[:, None] * (lap @ x)
+    def bind(self, lap, weights, counts):
+        # field -= (c / counts)[:, None] * (lap @ x)
+        scale = (self.c / counts)[:, None]
+        mismatch = np.empty((lap.shape[0], 2))
+
+        def couple(field, x):
+            np.matmul(lap, x[0], mismatch)
+            np.multiply(scale, mismatch, mismatch)
+            np.subtract(field[0], mismatch, field[0])
+
+        return couple
 
 
 @dataclass(frozen=True)
@@ -111,8 +137,23 @@ class PartialState(_Protocol):
     c1: float = _strength()
     c2: float = _strength()
 
-    def add_coupling(self, field, x, lap, weights, counts) -> None:
-        field[:, 1] -= (self.c1 * (lap @ x[:, 0]) + self.c2 * (lap @ x[:, 1])) / counts
+    def bind(self, lap, weights, counts):
+        # field[:, 1] -= (c1 * (lap @ pos) + c2 * (lap @ vel)) / counts
+        c1, c2 = np.array(self.c1), np.array(self.c2)  # 0-d arrays, as in integrate
+        from_pos = np.empty(lap.shape[0])
+        from_vel = np.empty(lap.shape[0])
+
+        def couple(field, x):
+            _, pos, vel = x
+            np.matmul(lap, pos, from_pos)
+            np.multiply(c1, from_pos, from_pos)
+            np.matmul(lap, vel, from_vel)
+            np.multiply(c2, from_vel, from_vel)
+            np.add(from_pos, from_vel, from_pos)
+            np.divide(from_pos, counts, from_pos)
+            np.subtract(field[2], from_pos, field[2])
+
+        return couple
 
 
 @dataclass(frozen=True)
@@ -123,13 +164,29 @@ class HkbCoupling(_Protocol):
     b: float
     c: float = _strength()
 
-    def add_coupling(self, field, x, lap, weights, counts) -> None:
-        pos = x[:, 0]
-        vel = x[:, 1]
-        dp = pos[:, None] - pos[None, :]
-        dv = vel[:, None] - vel[None, :]
-        total = (weights * (self.a + self.b * dp * dp) * dv).sum(axis=1)
-        field[:, 1] += (self.c / counts) * total
+    def bind(self, lap, weights, counts):
+        # field[:, 1] += (c / counts) * (weights * (a + b * dpos * dpos) * dvel).sum(axis=1)
+        a, b = np.array(self.a), np.array(self.b)  # 0-d arrays, as in integrate
+        scale = self.c / counts
+        n = lap.shape[0]
+        diff = np.empty((n, n))
+        term = np.empty((n, n))
+        total = np.empty(n)
+
+        def couple(field, x):
+            _, pos, vel = x
+            np.subtract.outer(pos, pos, out=diff)
+            np.multiply(b, diff, term)
+            np.multiply(term, diff, term)
+            np.add(a, term, term)
+            np.multiply(weights, term, term)
+            np.subtract.outer(vel, vel, out=diff)
+            np.multiply(term, diff, term)
+            np.add.reduce(term, axis=1, out=total)
+            np.multiply(scale, total, total)
+            np.add(field[2], total, field[2])
+
+        return couple
 
 
 CouplingProtocol = Union[NoCoupling, FullState, PartialState, HkbCoupling]
@@ -208,6 +265,58 @@ class StateExtrema:
     vel_max: float
 
 
+def _network_field_into(
+    params: Sequence[OscillatorParams],
+    topology: Topology,
+    protocol: CouplingProtocol,
+    entrainment: Entrainment,
+) -> Callable[[float, tuple, tuple], None]:
+    """Build field(t, x, out), which writes the network field at (t, x) into out.
+
+    x and out are _columns triples of distinct (n, 2) arrays.  field owns
+    scratch buffers, so one field must not run in two threads at once.
+    """
+    n = topology.n
+    if len(params) != n:
+        raise ValueError(f"got {len(params)} parameter sets for {n} nodes")
+    # one multiply by [[alpha, beta]] then one by x gives alpha*pos*pos and beta*vel*vel
+    alpha_beta = np.array([[p.alpha, p.beta] for p in params])
+    gamma = np.array([p.gamma for p in params])
+    omega_sq = np.array([p.omega for p in params]) ** 2
+    counts = topology.neighbor_counts.astype(float)
+    if not isinstance(protocol, NoCoupling) and np.any(counts == 0.0):
+        raise ValueError("coupled dynamics need every node to have a neighbor")
+    couple = protocol.bind(laplacian(topology), topology.weights, counts)
+    driven = entrainment.active
+    amplitude, frequency = entrainment.amplitude, entrainment.frequency
+    squares, squares_pos, squares_vel = _columns(np.empty((n, 2)))
+    spring = np.empty(n)
+    # local names and a positional out (the last argument): at n = 6 a ufunc
+    # call is mostly dispatch, so name lookups and keyword parsing show
+    multiply, add, subtract, negative, sin = np.multiply, np.add, np.subtract, np.negative, math.sin
+
+    def field(t: float, x: tuple, out: tuple) -> None:
+        # acc = -(alpha * pos * pos + beta * vel * vel - gamma) * vel - omega_sq * pos,
+        # one operation at a time in that order
+        state, pos, vel = x
+        _, dpos, acc = out
+        dpos[:] = vel
+        multiply(alpha_beta, state, squares)
+        multiply(squares, state, squares)
+        add(squares_pos, squares_vel, acc)
+        subtract(acc, gamma, acc)
+        negative(acc, acc)
+        multiply(acc, vel, acc)
+        multiply(omega_sq, pos, spring)
+        subtract(acc, spring, acc)
+        if couple is not None:
+            couple(out, x)
+        if driven:
+            add(acc, amplitude * sin(frequency * t), acc)
+
+    return field
+
+
 def network_field(
     params: Sequence[OscillatorParams],
     topology: Topology,
@@ -217,32 +326,15 @@ def network_field(
     """Build the network field rhs(t, x) on (n, 2) states, the one the integrator steps.
 
     Row i of rhs(t, x) is node i's uncoupled HKB field plus its coupling and
-    the entrainment signal on the acceleration.
+    the entrainment signal on the acceleration.  Each call returns a fresh
+    array, but the calls share scratch buffers, so one rhs must not run in
+    two threads at once.
     """
-    n = topology.n
-    if len(params) != n:
-        raise ValueError(f"got {len(params)} parameter sets for {n} nodes")
-    alpha = np.array([p.alpha for p in params])
-    beta = np.array([p.beta for p in params])
-    gamma = np.array([p.gamma for p in params])
-    omega_sq = np.array([p.omega for p in params]) ** 2
-    counts = topology.neighbor_counts.astype(float)
-    if not isinstance(protocol, NoCoupling) and np.any(counts == 0.0):
-        raise ValueError("coupled dynamics need every node to have a neighbor")
-    lap = laplacian(topology)
-    weights = topology.weights
-    add_coupling = protocol.add_coupling
-    driven = entrainment.active
+    field = _network_field_into(params, topology, protocol, entrainment)
 
     def rhs(t: float, x: np.ndarray) -> np.ndarray:
-        pos = x[:, 0]
-        vel = x[:, 1]
         out = np.empty_like(x)
-        out[:, 0] = vel
-        out[:, 1] = -(alpha * pos * pos + beta * vel * vel - gamma) * vel - omega_sq * pos
-        add_coupling(out, x, lap, weights, counts)
-        if driven:
-            out[:, 1] += entrainment.amplitude * math.sin(entrainment.frequency * t)
+        field(t, _columns(x), _columns(out))
         return out
 
     return rhs
@@ -287,23 +379,51 @@ def integrate(
     x = np.array(x0, dtype=float).reshape(n, 2)
     if not np.all(np.isfinite(x)):
         raise ValueError("initial state must be finite")
-    rhs = network_field(params, topology, protocol, ent)
+    field = _network_field_into(params, topology, protocol, ent)
     states = np.empty((steps + 1, n, 2))
     states[0] = x
     half = 0.5 * dt
-    sixth = dt / 6.0
-    for k in range(1, steps + 1):
-        t = (k - 1) * dt
-        k1 = rhs(t, x)
-        k2 = rhs(t + half, x + half * k1)
-        k3 = rhs(t + half, x + half * k2)
-        k4 = rhs(t + dt, x + dt * k3)
-        x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        # NaN compares false, so this catches it along with inf and runaway growth
-        if not np.abs(x).max() <= STATE_MAGNITUDE_LIMIT:
-            raise DivergenceError(f"state left trusted region at step {k}", step=k)
-        states[k] = x
+    # the RK4 weights as 0-d arrays, which numpy multiplies by faster than by
+    # Python floats, with the same result
+    w_half, w_dt, w_two, w_sixth = (np.array(w) for w in (half, dt, 2.0, dt / 6.0))
+    k1, k2, k3, k4, y = (np.empty((n, 2)) for _ in range(5))
+    x_cols, k1_cols, k2_cols, k3_cols, k4_cols, y_cols = map(_columns, (x, k1, k2, k3, k4, y))
+    multiply, add = np.multiply, np.add
+    # past a divergence up to _CHECK_BLOCK - 1 more steps run on inf and nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(1, steps + 1, _CHECK_BLOCK):
+            stop = min(start + _CHECK_BLOCK, steps + 1)
+            for k in range(start, stop):
+                t = (k - 1) * dt
+                field(t, x_cols, k1_cols)
+                multiply(w_half, k1, y)
+                add(x, y, y)
+                field(t + half, y_cols, k2_cols)
+                multiply(w_half, k2, y)
+                add(x, y, y)
+                field(t + half, y_cols, k3_cols)
+                multiply(w_dt, k3, y)
+                add(x, y, y)
+                field(t + dt, y_cols, k4_cols)
+                # x + sixth * (k1 + 2 * (k2 + k3) + k4), one operation at a time
+                add(k2, k3, k2)
+                multiply(w_two, k2, k2)
+                add(k1, k2, k1)
+                add(k1, k4, k1)
+                multiply(w_sixth, k1, k1)
+                add(x, k1, x)
+                states[k] = x
+            _check_rows(states, start, stop)
     return Trajectory(dt=dt, times=np.arange(steps + 1) * dt, states=states)
+
+
+def _check_rows(states: np.ndarray, start: int, stop: int) -> None:
+    """Raise DivergenceError at the first of states[start:stop] outside the trusted box."""
+    # NaN compares false, so this catches it along with inf and runaway growth
+    inside = np.abs(states[start:stop]).max(axis=(1, 2)) <= STATE_MAGNITUDE_LIMIT
+    if not inside.all():
+        k = start + int(np.argmin(inside))
+        raise DivergenceError(f"state left trusted region at step {k}", step=k)
 
 
 def state_extrema(traj: Trajectory) -> StateExtrema:

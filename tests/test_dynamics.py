@@ -1,11 +1,12 @@
 """Unit tests for the node field, coupling protocols, and RK4 integration."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
-from hkbnet import runner
+from hkbnet import dynamics, runner
 from hkbnet.dynamics import (
     STATE_MAGNITUDE_LIMIT,
     DivergenceError,
@@ -87,6 +88,37 @@ def coupling_row(i, states, topology, protocol):
     counts = topology.neighbor_counts.astype(float)
     protocol.add_coupling(out, x, laplacian(topology), topology.weights, counts)
     return out[i]
+
+
+def reference_integrate(params, topology, protocol, x0, duration, dt, entrainment=None):
+    """Reference oracle: RK4 on fresh arrays, network_field per stage and a check every step."""
+    steps = step_count(duration, dt)
+    rhs = network_field(params, topology, protocol, entrainment or Entrainment())
+    x = np.array(x0, dtype=float).reshape(topology.n, 2)
+    states = np.empty((steps + 1, topology.n, 2))
+    states[0] = x
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    for k in range(1, steps + 1):
+        t = (k - 1) * dt
+        k1 = rhs(t, x)
+        k2 = rhs(t + half, x + half * k1)
+        k3 = rhs(t + half, x + half * k2)
+        k4 = rhs(t + dt, x + dt * k3)
+        x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+        if not np.abs(x).max() <= STATE_MAGNITUDE_LIMIT:
+            raise DivergenceError(f"state left trusted region at step {k}", step=k)
+        states[k] = x
+    return states
+
+
+def divergence_step(integrator, gamma):
+    """Step at which two uncoupled nodes with undamped growth rate gamma leave the box."""
+    unstable = OscillatorParams(0.0, 0.0, gamma, 0.1)
+    with pytest.raises(DivergenceError) as err:
+        integrator([unstable, unstable], complete_graph(2), NoCoupling(), [[0.1, 0.0], [0.1, 0.0]], 10.0, 0.01)
+    assert str(err.value) == f"state left trusted region at step {err.value.step}"
+    return err.value.step
 
 
 def irregular_graph():
@@ -364,6 +396,51 @@ class TestIntegrate:
                              (float("inf"), 0.01), (1.0, float("nan")), (1.0, 5e-324)):
             with pytest.raises(ValueError):
                 step_count(duration, dt)
+
+
+class TestInPlaceStep:
+    @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
+    @pytest.mark.parametrize("drive", [None, Entrainment(amplitude=0.3, frequency=0.5, enabled=True)])
+    def test_matches_reference_bitwise(self, protocol, drive):
+        # no digest pins PSC or HKB with a drive on an irregular graph
+        for top in (complete_graph(6), irregular_graph()):
+            args = (ROCKING6_PARAMS, top, protocol, ROCKING6_INITIAL, 20.0, 0.01, drive)
+            assert np.array_equal(integrate(*args).states, reference_integrate(*args))
+
+    def test_rhs_returns_a_fresh_array(self):
+        rhs = network_field(ROCKING6_PARAMS, irregular_graph(), HkbCoupling(-1.0, -1.0, 0.15),
+                            Entrainment(amplitude=0.3, frequency=0.5, enabled=True))
+        x = np.array(ROCKING6_INITIAL, dtype=float)
+        first = rhs(0.0, x)
+        kept = first.copy()
+        second = rhs(1.0, 2.0 * x)
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, kept)
+        assert not np.array_equal(first, second)
+
+    def test_divergence_step_matches_reference(self):
+        # 4.34 diverges on the last row of a check block and 4.33 on the first row
+        # of the next; the others fall inside a block
+        steps = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for gamma in (3.0, 4.33, 4.34, 5.0, 6.0):
+                step = divergence_step(integrate, gamma)
+                assert step == divergence_step(reference_integrate, gamma), gamma
+                steps.append(step)
+        offsets = {step % dynamics._CHECK_BLOCK for step in steps}
+        assert 0 in offsets and 1 in offsets and offsets - {0, 1}
+
+    def test_steps_past_divergence_raise_no_warning(self):
+        # the first step overflows to inf and nan, and the rest of its check
+        # block runs on them before the check reports step 1
+        huge = OscillatorParams(1e308, 1e308, 0.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for protocol in ALL_PROTOCOLS:
+                with pytest.raises(DivergenceError) as err:
+                    integrate([huge, huge], complete_graph(2), protocol, [[1e3, 1e3], [1e3, -1e3]], 10.0, 0.01)
+                assert err.value.step == 1
 
 
 class TestBoundedness:

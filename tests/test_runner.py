@@ -10,6 +10,7 @@ import re
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -448,6 +449,33 @@ class TestSweep:
         assert len(cells) == 4
         assert all(c.report is not None and c.report.rho_e is not None for c in cells)
 
+    def test_one_integrate_and_one_report_per_cell(self, monkeypatch):
+        # the traced sweep_entrain benchmark asserts this too (SweepEntrain.expected_calls):
+        # a kernel that integrates several cells in one call changes both together
+        calls = dict.fromkeys(("integrate", "compute_sync_report"), 0)
+
+        def counting(name):
+            wrapped = getattr(runner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return wrapped(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(runner, name, counting(name))
+        cfg = dataclasses.replace(
+            runner.preset_config("rocking6-fsc"),
+            duration=5.0,
+            sweep=runner.SweepSpec(
+                field="entrainment.frequency", values=(0.4, 0.5, 0.6),
+                field2="entrainment.amplitude", values2=(0.1, 0.3),
+            ),
+        )
+        assert len(runner.run_sweep(cfg)) == 6
+        assert calls == {"integrate": 6, "compute_sync_report": 6}
+
     def test_divergent_cell_is_recorded_and_sweep_continues(self, tmp_path):
         path = tmp_path / "unstable.cfg"
         path.write_text(
@@ -641,8 +669,12 @@ class TestCli:
             "[protocol]\nkind = none\n\n[simulation]\nduration = 10\ndt = 0.01\n"
         )
         (tmp_path / "sync_report.csv").write_text("stale\n")
-        assert cli.main(["run", str(path), "--out-dir", str(tmp_path)]) == cli.EXIT_DIVERGED
-        assert "divergence" in capsys.readouterr().err
+        # integrate runs on past the divergence to the end of its check block, silently
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["run", str(path), "--out-dir", str(tmp_path)]) == cli.EXIT_DIVERGED
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"divergence: state left trusted region at step \d+\n", err), err
         # the bundle was opened before integrating: every file is left empty, the stale one too
         assert {p.name: p.read_bytes() for p in tmp_path.glob("*.csv")} == dict.fromkeys(VERB_FILES["run"], b"")
 
