@@ -145,10 +145,12 @@ def compute_sync_report(
     Entrainment indices are filled in only when an active signal is passed;
     precomputed phases may be supplied to avoid repeating the extraction.
     """
-    ph = phases if phases is not None else phases_from_trajectory(traj)
-    # The small results come first, so that the full-size temporaries they
-    # make do not stack on the relative phases that the group index needs.
     eta = tracking_error_norm(traj)
+    ph = phases if phases is not None else phases_from_trajectory(traj)
+    # Nothing below reads the trajectory, so the report keeps no reference to
+    # it: a caller that keeps none either frees the states here, before the
+    # full-size phasor buffers below are allocated.
+    del traj
     dyadic = dyadic_matrix(ph)
     rho_e_k = None
     rho_e = None

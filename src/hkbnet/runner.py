@@ -525,14 +525,15 @@ def _require_sweep(config: RunConfig) -> None:
 def _cell_report(config: RunConfig) -> CellReport | None:
     """Simulate one sweep cell and keep its three scalars, or None if it diverges.
 
-    The trajectory and the full report go when this returns, so no cell's
-    per-sample arrays outlive it or overlap the next cell's.
+    The trajectory goes straight to the report, which frees it once eta and
+    the phases are taken, and the full report goes when this returns, so no
+    cell's per-sample arrays outlive it or overlap the next cell's.
     """
+    # No name here holds the trajectory; only the integration can diverge.
     try:
-        traj = _integrate(config)
+        report = compute_sync_report(_integrate(config), entrainment=config.entrainment)
     except DivergenceError:
         return None
-    report = compute_sync_report(traj, entrainment=config.entrainment)
     return CellReport(report.rho_g_mean, report.rho_g_std, report.rho_e)
 
 
