@@ -7,7 +7,8 @@ Submodules:
 * phase    -- analytic-signal instantaneous phase extraction
 * metrics  -- synchronization indices and the tracking-error norm
 * bounds   -- contraction and Lyapunov coupling-strength certificates
-* runner   -- presets, config files, sweeps, CSV artifact emission
+* config   -- presets, config files, the run contract, sweep cells, CLI overrides
+* runner   -- execution, sweeps, CSV emission
 """
 
 from .bounds import (
@@ -20,6 +21,7 @@ from .bounds import (
     quad_certificate,
     quad_epsilon_direct,
 )
+from .config import PRESET_NAMES, ConfigError, RunConfig, SweepSpec, load_config, preset_config, validate_config
 from .dynamics import (
     CouplingProtocol,
     DivergenceError,
@@ -67,21 +69,14 @@ from .phase import (
     wrap_phase,
 )
 from .runner import (
-    ConfigError,
-    PRESET_NAMES,
-    RunConfig,
     RunResult,
     SweepCell,
-    SweepSpec,
     bounds_rows,
     evaluate_bounds,
-    load_config,
-    preset_config,
     run,
     run_sweep,
     simulate,
     sweep,
-    validate_config,
     write_outputs,
 )
 

@@ -7,20 +7,12 @@ flags and the exit statuses.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
+from .config import PRESET_NAMES, ConfigError, apply_overrides, load_config, validate_config
 from .dynamics import DivergenceError
 from .phase import DegenerateSignalError
-from .runner import (
-    ConfigError,
-    PRESET_NAMES,
-    evaluate_bounds,
-    load_config,
-    run,
-    sweep,
-    validate_config,
-)
+from .runner import evaluate_bounds, run, sweep
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -47,25 +39,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(config, args):
-    flags = {"out_dir": args.out_dir, "dt": args.dt, "duration": args.duration}
-    updates = {name: value for name, value in flags.items() if value is not None}
-    swept = () if config.sweep is None else (config.sweep.field, config.sweep.field2)
-    for name in ("dt", "duration"):
-        if name in updates and f"simulation.{name}" in swept:
-            raise ConfigError(f"[sweep] simulation.{name} is swept, so --{name} cannot also set it")
-    return dataclasses.replace(config, **updates) if updates else config
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = _apply_overrides(load_config(args.config), args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
+        config = apply_overrides(load_config(args.config), args.out_dir, args.dt, args.duration)
         if args.command == "validate":
             diagnostics = validate_config(config)
             for line in diagnostics:

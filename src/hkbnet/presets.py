@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from .dynamics import OscillatorParams
-from .graph import Topology, complete_graph
 
 # Six-node scenario: (alpha, beta, gamma, omega) per node.
 ROCKING6_PARAMS = (
@@ -72,13 +71,3 @@ VALIDATION5_WEIGHTS = np.array(
 VALIDATION5_P = (0.077, 0.077)
 VALIDATION5_W11 = 0.001
 VALIDATION5_W22 = 0.045
-
-
-def rocking6_topology() -> Topology:
-    """Unweighted complete graph of six nodes."""
-    return complete_graph(6, 1.0)
-
-
-def validation5_topology() -> Topology:
-    """The frozen five-node weighted fixture graph."""
-    return Topology(VALIDATION5_WEIGHTS)

@@ -18,6 +18,7 @@ from hkbnet.bounds import (
     quad_epsilon_direct,
     quad_hypotheses,
 )
+from hkbnet.config import validate_config
 from hkbnet.dynamics import FullState, OscillatorParams, integrate, state_extrema
 from hkbnet.graph import Topology, complete_graph, neighbor_lambda2, random_weighted_graph
 from hkbnet.metrics import tracking_error_norm
@@ -203,7 +204,7 @@ class TestQuadCertificate:
             bounds=runner.BoundsOptions(quad=True),
         )
         assert (common_gamma(params) is not None) == shared
-        assert (runner.validate_config(config) == []) == shared
+        assert (validate_config(config) == []) == shared
         rows = dict(runner.bounds_rows(config, runner._integrate(config)))
         assert rows["quad_applicable"] == float(shared)
         if shared:

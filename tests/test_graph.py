@@ -9,7 +9,7 @@ import pytest
 
 from hkbnet import graph
 from hkbnet.bounds import BoundsOptions, quad_certificate
-from hkbnet.presets import VALIDATION5_PARAMS, validation5_topology
+from hkbnet.presets import VALIDATION5_PARAMS, VALIDATION5_WEIGHTS
 
 
 def random_topology(rng, n, edge_prob=0.7):
@@ -140,7 +140,7 @@ class TestNormalizedNeighborLaplacian:
         assert abs(graph.spectrum(ln).lambda2 - 2.0) < 1e-12
 
     def test_fixture_lambda2(self):
-        assert abs(graph.neighbor_lambda2(validation5_topology()) - 0.4112) < 1e-6
+        assert abs(graph.neighbor_lambda2(graph.Topology(VALIDATION5_WEIGHTS)) - 0.4112) < 1e-6
 
     def test_isolated_node_raises(self):
         top = graph.Topology(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
@@ -210,7 +210,7 @@ class TestKronLambda2:
         return 1.0 / cert.c_bar
 
     def test_fixture_with_shape_matrix(self):
-        value = self.gap(validation5_topology(), (0.077, 0.077), (1.0, 1.0))
+        value = self.gap(graph.Topology(VALIDATION5_WEIGHTS), (0.077, 0.077), (1.0, 1.0))
         assert abs(value - 0.4112 * 0.077) < 1e-9
 
     def test_two_node_kernel_copies_excluded(self):

@@ -1,12 +1,14 @@
-"""Tests of the package as a whole: its exception classes, the runner's
-use of the certificate, the cli's hands-off output files, and the README's
-library example.
+"""Tests of the package as a whole: its exception classes, its import graph,
+which module owns the certificate, the config and the output files, and the
+README's library example.
 """
 
 import ast
 import builtins
 import re
 from pathlib import Path
+
+from hkbnet import config, runner
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = REPO_ROOT / "src" / "hkbnet"
@@ -46,12 +48,66 @@ def test_every_exception_class_is_caught():
     assert sorted(defined - caught) == []
 
 
+def _package_imports() -> dict[str, set[str]]:
+    """Each submodule's name mapped to the submodules it imports, relatively or as hkbnet.<name>."""
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    graph = {}
+    for name in modules:
+        imported = set()
+        for node in ast.walk(ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                # from .graph import x names a module; from . import graph names one per alias
+                imported |= {node.module.split(".")[0]} if node.module else {a.name for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("hkbnet"):
+                parts = node.module.split(".")
+                imported |= {parts[1]} if len(parts) > 1 else {a.name for a in node.names}
+            elif isinstance(node, ast.Import):
+                imported |= {a.name.split(".")[1] for a in node.names if a.name.startswith("hkbnet.")}
+        graph[name] = imported & modules - {name}
+    return graph
+
+
+def test_import_graph_has_no_cycle_and_config_stays_below_execution():
+    graph = _package_imports()
+    assert {"config", "runner"} <= graph["cli"], "cli's imports not found; the scan is broken"
+    # the config layer builds and checks a run; it may not reach what runs or analyses one
+    assert sorted(graph["config"] & {"runner", "cli", "metrics", "phase"}) == []
+    state = {}  # module -> "open" while on the depth-first path, "done" after
+
+    def visit(name, path):
+        if state.get(name) == "open":
+            raise AssertionError(f"import cycle: {' -> '.join(path[path.index(name):] + [name])}")
+        if state.get(name) is None:
+            state[name] = "open"
+            for dep in sorted(graph[name]):
+                visit(dep, path + [name])
+            state[name] = "done"
+
+    for name in sorted(graph):
+        visit(name, [])
+
+
 def test_runner_leaves_the_certificate_hypotheses_to_bounds():
-    # bounds.quad_hypotheses alone decides where the Lyapunov certificate applies
+    # bounds.quad_hypotheses alone decides where the Lyapunov certificate applies,
+    # for runner's bounds.csv and for config's validate diagnostics
+    for module in ("runner.py", "config.py"):
+        tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+        names = _names([tree]) | {node.name for node in ast.walk(tree) if isinstance(node, ast.alias)}
+        assert "quad_hypotheses" in names, f"quad_hypotheses not found in {module}; the scan is broken"
+        assert sorted(names & {"common_gamma", "has_spectral_gap", "neighbor_lambda2"}) == [], module
+
+
+def test_runner_leaves_the_config_to_config():
+    # hkbnet.config alone parses config text and defines the run contract
     tree = ast.parse((PACKAGE / "runner.py").read_text(encoding="utf-8"))
-    names = _names([tree]) | {node.name for node in ast.walk(tree) if isinstance(node, ast.alias)}
-    assert "quad_hypotheses" in names, "quad_hypotheses not found; the scan is broken"
-    assert sorted(names & {"common_gamma", "has_spectral_gap", "neighbor_lambda2"}) == []
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+    assert "run" in defined and "contextlib" in imported, "runner's names not found; the scan is broken"
+    assert "configparser" not in imported
+    assert sorted(defined & {"RunConfig", "load_config", "_section", "_take"}) == []
+    # the names callers look up on runner are the config module's own
+    assert (runner.load_config, runner.preset_config, runner.SweepSpec, runner.RunConfig) == (
+        config.load_config, config.preset_config, config.SweepSpec, config.RunConfig)
 
 
 def test_cli_leaves_the_output_files_to_runner():
@@ -63,6 +119,14 @@ def test_cli_leaves_the_output_files_to_runner():
     # a file name, not help text that mentions one
     texts = [node.value for node in ast.walk(tree) if isinstance(node, ast.Constant) and isinstance(node.value, str)]
     assert [text for text in texts if re.fullmatch(r"\S+\.csv", text)] == []
+
+
+def test_cli_leaves_swept_fields_to_config():
+    # config.apply_overrides alone decides which flags a swept field forbids
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    texts = [node.value for node in ast.walk(tree) if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    assert any("--duration" in text for text in texts), "cli's strings not found; the scan is broken"
+    assert [text for text in texts if re.search(r"\b(protocol|entrainment|simulation)\.", text)] == []
 
 
 def test_readme_library_use_runs(capsys):

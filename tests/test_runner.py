@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hkbnet import cli, runner
+from hkbnet import cli, config, runner
 from hkbnet.dynamics import Entrainment, FullState, HkbCoupling, NoCoupling, PartialState, step_count
 from hkbnet.presets import (
     ROCKING6_INITIAL,
@@ -193,11 +193,33 @@ class TestConfigParsing:
         def no_memory(*args):
             raise MemoryError
 
-        monkeypatch.setattr(runner, "complete_graph", no_memory)
+        monkeypatch.setattr(config, "complete_graph", no_memory)
         path = tmp_path / "complete.cfg"
         path.write_text(GOOD_CONFIG.replace(COMPLETE_WEIGHTS, "preset = complete\nnodes = 2"))
         with pytest.raises(runner.ConfigError, match=re.escape("[network] nodes = 2")):
             runner.load_config(path)
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # editors that save UTF-8 "with signature" put U+FEFF before the first header
+        (tmp_path / "plain").mkdir()
+        (tmp_path / "bom").mkdir()
+        (tmp_path / "plain" / "demo.cfg").write_text(GOOD_CONFIG, encoding="utf-8")
+        (tmp_path / "bom" / "demo.cfg").write_text(GOOD_CONFIG, encoding="utf-8-sig")
+        assert (tmp_path / "bom" / "demo.cfg").read_bytes().startswith(b"\xef\xbb\xbf[run]")
+        plain, bom = (runner.load_config(tmp_path / d / "demo.cfg") for d in ("plain", "bom"))
+        for field in dataclasses.fields(plain):
+            a, b = getattr(plain, field.name), getattr(bom, field.name)
+            if field.name == "topology":
+                a, b = a.weights, b.weights
+            assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, field.name
+
+    def test_dot_slash_loads_a_file_named_like_a_preset(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "rocking6-fsc").write_text(GOOD_CONFIG)
+        assert runner.load_config("./rocking6-fsc").topology.n == 2
+        # a directory cannot be a config file, so one named like a preset (an --out-dir) leaves the preset alone
+        (tmp_path / "validation5").mkdir()
+        assert runner.load_config("validation5").topology.n == 5
 
     def test_nonexistent_source(self):
         with pytest.raises(runner.ConfigError):
@@ -222,8 +244,8 @@ class TestConfigParsing:
 
 class TestValidateConfig:
     def test_valid_presets_are_clean(self):
-        for name in runner.PRESET_NAMES:
-            assert runner.validate_config(runner.preset_config(name)) == []
+        for name in config.PRESET_NAMES:
+            assert config.validate_config(runner.preset_config(name)) == []
 
     def test_asymmetric_matrix_diagnostic(self, tmp_path):
         path = tmp_path / "asym.cfg"
@@ -234,7 +256,7 @@ class TestValidateConfig:
     def test_heterogeneous_gamma_with_quad_request(self, tmp_path):
         path = tmp_path / "quad.cfg"
         path.write_text(GOOD_CONFIG + "\n[bounds]\nquad = true\n")
-        diagnostics = runner.validate_config(runner.load_config(path))
+        diagnostics = config.validate_config(runner.load_config(path))
         assert any("gamma" in d for d in diagnostics)
 
     def test_no_spectral_gap_with_quad_request(self, tmp_path):
@@ -246,7 +268,7 @@ class TestValidateConfig:
                      "\n    0.34 1.73 0.58 0.37 -1.8 -0.3")
             + "\n[bounds]\nquad = true\n"
         )
-        assert runner.validate_config(runner.load_config(path)) == [
+        assert config.validate_config(runner.load_config(path)) == [
             "bounds: quad bound requested but lambda2 = 6.67e-11 leaves no spectral gap "
             "(certificate inapplicable)"
         ]
@@ -257,18 +279,18 @@ class TestValidateConfig:
     def test_amplitude_without_enabled_flagged(self, tmp_path):
         path = tmp_path / "ent.cfg"
         path.write_text(GOOD_CONFIG + "\n[entrainment]\namplitude = 0.3\n")
-        assert runner.validate_config(runner.load_config(path)) == [
+        assert config.validate_config(runner.load_config(path)) == [
             "entrainment: amplitude 0.3 but not enabled (no effect)"
         ]
         # a swept entrainment field switches the entrainment on in every cell
         path.write_text(path.read_text() + "\n[sweep]\nfield = entrainment.frequency\nvalues = 0.5 1.0\n")
-        assert runner.validate_config(runner.load_config(path)) == []
+        assert config.validate_config(runner.load_config(path)) == []
 
     def test_zero_strength_flagged(self):
         cfg = dataclasses.replace(
             runner.preset_config("rocking6-psc"), protocol=PartialState(0.0, 0.0)
         )
-        assert any("inactive" in d for d in runner.validate_config(cfg))
+        assert any("inactive" in d for d in config.validate_config(cfg))
 
     def test_dt_must_divide_duration(self, tmp_path):
         with pytest.raises(runner.ConfigError, match=r"\[simulation\] dt=0.3 does not divide"):
@@ -663,6 +685,16 @@ class TestCli:
         assert cli.main([verb, str(path), "--out-dir", str(out), *flags]) == cli.EXIT_CONFIG
         assert section in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("verb", ["run", "sweep", "bounds", "validate"])
+    def test_preset_name_beside_a_file_of_that_name_exits_config(self, verb, tmp_path, capsys, monkeypatch):
+        # a 2-node uncoupled file named like the 6-node preset: neither may silently stand in for the other
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "rocking6-fsc").write_text(GOOD_CONFIG.replace("kind = full_state\nc = 0.15", "kind = none"))
+        assert cli.main([verb, "rocking6-fsc", "--out-dir", "out", "--duration", "2"]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "'rocking6-fsc' is both a preset name and a config file" in err and "./rocking6-fsc" in err
+        assert not (tmp_path / "out").exists()
 
     def test_validate_exit_ok(self, capsys):
         assert cli.main(["validate", "rocking6-fsc"]) == cli.EXIT_OK
