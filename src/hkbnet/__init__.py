@@ -34,7 +34,6 @@ from .dynamics import (
     StateExtrema,
     Trajectory,
     integrate,
-    network_field,
     state_extrema,
 )
 from .graph import (

@@ -28,6 +28,7 @@ from .dynamics import (
     NoCoupling,
     OscillatorParams,
     PartialState,
+    check_drive,
     step_count,
     strength_fields,
 )
@@ -89,9 +90,10 @@ class RunConfig:
         if not np.all(np.isfinite(states)):
             raise ConfigError("[nodes] initial states must be finite")
         try:
-            samples = step_count(self.duration, self.dt) + 1
+            steps = step_count(self.duration, self.dt)
         except ValueError as exc:
             raise ConfigError(f"[simulation] {exc}") from None
+        samples = steps + 1
         grid = f"[simulation] duration={self.duration} at dt={self.dt} gives {samples:.6g} samples"
         if samples < 4:
             raise ConfigError(f"{grid}, but phase extraction needs at least 4")
@@ -104,6 +106,10 @@ class RunConfig:
                 f"[network] node {isolated[0] + 1} has no neighbors, "
                 "but a coupled protocol needs every node to have one"
             )
+        try:
+            check_drive(self.entrainment, steps, self.dt)
+        except ValueError as exc:
+            raise ConfigError(f"[entrainment] {exc}") from None
         if self.sweep is not None:
             _sweep_grid(self)
 
@@ -365,6 +371,8 @@ def validate_config(cfg: RunConfig) -> list[str]:
     swept = () if cfg.sweep is None else (cfg.sweep.field, cfg.sweep.field2 or "")
     if not ent.enabled and ent.amplitude != 0.0 and not any(f.startswith("entrainment.") for f in swept):
         diagnostics.append(f"entrainment: amplitude {ent.amplitude:g} but not enabled (no effect)")
+    if "entrainment.frequency" in swept and "entrainment.amplitude" not in swept and ent.amplitude == 0.0:
+        diagnostics.append("entrainment: entrainment.frequency is swept at amplitude 0 (no effect in any cell)")
     if cfg.bounds.quad:
         _, failures = bounds_mod.quad_hypotheses(cfg.topology, cfg.params)
         diagnostics += [
@@ -393,7 +401,7 @@ def _with_field(config: RunConfig, field: str, value: float) -> RunConfig:
         if key not in ("amplitude", "frequency"):
             raise ConfigError(f"[sweep] field {field!r} is not a scalar entrainment field")
         ent = replaced(config.entrainment, enabled=True, **{key: value})
-        return dataclasses.replace(config, entrainment=ent)
+        return replaced(config, entrainment=ent)
     if section == "simulation":
         if key not in ("duration", "dt"):
             raise ConfigError(f"[sweep] field {field!r} is not a scalar simulation field")
@@ -423,6 +431,9 @@ def _sweep_grid(config: RunConfig) -> list[tuple[float, float | None, RunConfig]
 
 def apply_overrides(config: RunConfig, out_dir: str | None, dt: float | None, duration: float | None) -> RunConfig:
     """Return config with each CLI flag that was given (not None) set; a flag may not set a swept field."""
+    if out_dir is not None and not out_dir.strip():
+        # a blank [output] directory means the default; a blank flag would write into the working directory
+        raise ConfigError("[output] --out-dir must not be blank")
     flags = {"out_dir": out_dir, "dt": dt, "duration": duration}
     updates = {name: value for name, value in flags.items() if value is not None}
     swept = () if config.sweep is None else (config.sweep.field, config.sweep.field2)

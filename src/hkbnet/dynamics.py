@@ -31,7 +31,7 @@ _CHECK_BLOCK = 256
 class DivergenceError(RuntimeError):
     """Integration left the trusted state region (NaN, Inf, or runaway growth)."""
 
-    def __init__(self, message: str, step: int | None = None):
+    def __init__(self, message: str, step: int):
         super().__init__(message)
         self.step = step
 
@@ -317,29 +317,6 @@ def _network_field_into(
     return field
 
 
-def network_field(
-    params: Sequence[OscillatorParams],
-    topology: Topology,
-    protocol: CouplingProtocol,
-    entrainment: Entrainment,
-) -> Callable[[float, np.ndarray], np.ndarray]:
-    """Build the network field rhs(t, x) on (n, 2) states, the one the integrator steps.
-
-    Row i of rhs(t, x) is node i's uncoupled HKB field plus its coupling and
-    the entrainment signal on the acceleration.  Each call returns a fresh
-    array, but the calls share scratch buffers, so one rhs must not run in
-    two threads at once.
-    """
-    field = _network_field_into(params, topology, protocol, entrainment)
-
-    def rhs(t: float, x: np.ndarray) -> np.ndarray:
-        out = np.empty_like(x)
-        field(t, _columns(x), _columns(out))
-        return out
-
-    return rhs
-
-
 def step_count(duration: float, dt: float) -> int:
     """Number of steps of size dt that span duration exactly.
 
@@ -356,30 +333,46 @@ def step_count(duration: float, dt: float) -> int:
     return int(round(steps))
 
 
+def check_drive(entrainment: Entrainment, steps: int, dt: float) -> None:
+    """Raise ValueError if an active drive's frequency * t is not finite on a grid of steps of dt.
+
+    integrate evaluates the drive at t up to the last stage time
+    (steps - 1) * dt + dt, and frequency * t never falls as t grows, so
+    that one product decides; math.sin raises on an infinite one.
+    """
+    t_last = (steps - 1) * dt + dt
+    if entrainment.active and not math.isfinite(entrainment.frequency * t_last):
+        raise ValueError(f"frequency={entrainment.frequency:g} overflows frequency * t at t={t_last:g}")
+
+
 def integrate(
     params: Sequence[OscillatorParams],
     topology: Topology,
     protocol: CouplingProtocol,
-    x0: Sequence[float],
+    x0: np.ndarray,
     duration: float,
     dt: float,
-    entrainment: Entrainment | None = None,
+    entrainment: Entrainment = Entrainment(),
 ) -> Trajectory:
     """Classical fixed-step 4th-order Runge-Kutta integration of the network.
 
-    dt must divide the duration (see step_count).  Every step is stored, so
-    the sampling interval of the returned trajectory equals dt.
+    x0 holds node i's initial (pos, vel) in row i, shape (n, 2).  dt must
+    divide the duration (see step_count), and an active drive must keep
+    frequency * t finite (see check_drive).  Every step is stored, so the
+    sampling interval of the returned trajectory equals dt.
     Deterministic: identical inputs yield identical trajectories.
     Raises DivergenceError (with the offending step index)
     when the state stops being finite or exceeds STATE_MAGNITUDE_LIMIT.
     """
     steps = step_count(duration, dt)
-    ent = entrainment if entrainment is not None else Entrainment()
+    check_drive(entrainment, steps, dt)
     n = topology.n
-    x = np.array(x0, dtype=float).reshape(n, 2)
+    x = np.array(x0, dtype=float)  # a copy: x0 is often a RunConfig's initial_states
+    if x.shape != (n, 2):
+        raise ValueError(f"initial state has shape {x.shape}, not ({n}, 2)")
     if not np.all(np.isfinite(x)):
         raise ValueError("initial state must be finite")
-    field = _network_field_into(params, topology, protocol, ent)
+    field = _network_field_into(params, topology, protocol, entrainment)
     states = np.empty((steps + 1, n, 2))
     states[0] = x
     half = 0.5 * dt

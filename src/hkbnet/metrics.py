@@ -137,12 +137,12 @@ def tracking_error_norm(traj: Trajectory) -> np.ndarray:
 
 def compute_sync_report(
     traj: Trajectory,
-    entrainment: Entrainment | None = None,
+    entrainment: Entrainment = Entrainment(),
     phases: PhaseSeries | None = None,
 ) -> SyncReport:
     """Run the whole metric suite on one trajectory.
 
-    Entrainment indices are filled in only when an active signal is passed;
+    Entrainment indices are filled in only when the signal is active;
     precomputed phases may be supplied to avoid repeating the extraction.
     """
     eta = tracking_error_norm(traj)
@@ -154,7 +154,7 @@ def compute_sync_report(
     dyadic = dyadic_matrix(ph)
     rho_e_k = None
     rho_e = None
-    if entrainment is not None and entrainment.active:
+    if entrainment.active:
         rho_e_k, rho_e = entrainment_index(ph, entrainment)
     rel = agent_relative_phase(ph)
     series = group_sync_series(rel.series, rel.mean_phase)

@@ -18,7 +18,6 @@ from hkbnet.dynamics import (
     PartialState,
     Trajectory,
     integrate,
-    network_field,
     state_extrema,
     step_count,
 )
@@ -71,9 +70,21 @@ def per_node_coupling(i, states, topology, protocol):
     return np.array([0.0, (protocol.c / neighbors.size) * total])
 
 
+def fresh_rhs(params, topology, protocol, entrainment):
+    """rhs(t, x): the in-place network field written into a fresh (n, 2) array on each call."""
+    into = dynamics._network_field_into(params, topology, protocol, entrainment)
+
+    def rhs(t, x):
+        out = np.empty_like(x)
+        into(t, dynamics._columns(x), dynamics._columns(out))
+        return out
+
+    return rhs
+
+
 def field(states, params, topology, protocol, entrainment=Entrainment(), t=0.0):
-    """network_field evaluated once on (n, 2) states."""
-    return network_field(params, topology, protocol, entrainment)(t, np.asarray(states, dtype=float))
+    """The network field evaluated once on (n, 2) states."""
+    return fresh_rhs(params, topology, protocol, entrainment)(t, np.asarray(states, dtype=float))
 
 
 def uncoupled_field(state, params):
@@ -90,11 +101,11 @@ def coupling_row(i, states, topology, protocol):
     return out[i]
 
 
-def reference_integrate(params, topology, protocol, x0, duration, dt, entrainment=None):
-    """Reference oracle: RK4 on fresh arrays, network_field per stage and a check every step."""
+def reference_integrate(params, topology, protocol, x0, duration, dt, entrainment=Entrainment()):
+    """Reference oracle: RK4 on fresh arrays, a fresh field per stage and a check every step."""
     steps = step_count(duration, dt)
-    rhs = network_field(params, topology, protocol, entrainment or Entrainment())
-    x = np.array(x0, dtype=float).reshape(topology.n, 2)
+    rhs = fresh_rhs(params, topology, protocol, entrainment)
+    x = np.array(x0, dtype=float)
     states = np.empty((steps + 1, topology.n, 2))
     states[0] = x
     half = 0.5 * dt
@@ -388,6 +399,25 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(ROCKING6_PARAMS[:2], top, NoCoupling(), np.zeros((2, 2)), 1.0, 2.0)
 
+    def test_rejects_initial_state_of_another_shape(self):
+        # a transposed or flat x0 would otherwise scramble which node starts where
+        top = complete_graph(3, 1.0)
+        for x0, shape in (([[1.0, 2.0, 3.0], [0.1, 0.2, 0.3]], r"\(2, 3\)"), (np.arange(6.0), r"\(6,\)")):
+            with pytest.raises(ValueError, match=rf"initial state has shape {shape}, not \(3, 2\)"):
+                integrate(ROCKING6_PARAMS[:3], top, NoCoupling(), x0, 1.0, 0.01)
+
+    def test_rejects_a_drive_phase_that_overflows(self):
+        # frequency * t is finite up to t = 1 and overflows at the last stage time t = 2
+        top = complete_graph(2, 1.0)
+        x0 = ROCKING6_INITIAL[:2]
+        drive = Entrainment(amplitude=0.3, frequency=1e308, enabled=True)
+        with pytest.raises(ValueError, match=r"frequency=1e\+308 overflows frequency \* t at t=2"):
+            integrate(ROCKING6_PARAMS[:2], top, NoCoupling(), x0, 2.0, 0.5, drive)
+        assert integrate(ROCKING6_PARAMS[:2], top, NoCoupling(), x0, 1.0, 0.5, drive).num_samples == 3
+        # an inactive drive is never evaluated, so its frequency cannot overflow
+        off = dataclasses.replace(drive, amplitude=0.0)
+        assert integrate(ROCKING6_PARAMS[:2], top, NoCoupling(), x0, 2.0, 0.5, off).num_samples == 5
+
     def test_step_count(self):
         assert step_count(200.0, 0.01) == 20000
         assert step_count(1.0, 1.0) == 1
@@ -400,23 +430,14 @@ class TestIntegrate:
 
 class TestInPlaceStep:
     @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
-    @pytest.mark.parametrize("drive", [None, Entrainment(amplitude=0.3, frequency=0.5, enabled=True)])
+    # id None: no drive, the default
+    @pytest.mark.parametrize("drive", [pytest.param(Entrainment(), id="None"),
+                                       Entrainment(amplitude=0.3, frequency=0.5, enabled=True)])
     def test_matches_reference_bitwise(self, protocol, drive):
         # no digest pins PSC or HKB with a drive on an irregular graph
         for top in (complete_graph(6), irregular_graph()):
             args = (ROCKING6_PARAMS, top, protocol, ROCKING6_INITIAL, 20.0, 0.01, drive)
             assert np.array_equal(integrate(*args).states, reference_integrate(*args))
-
-    def test_rhs_returns_a_fresh_array(self):
-        rhs = network_field(ROCKING6_PARAMS, irregular_graph(), HkbCoupling(-1.0, -1.0, 0.15),
-                            Entrainment(amplitude=0.3, frequency=0.5, enabled=True))
-        x = np.array(ROCKING6_INITIAL, dtype=float)
-        first = rhs(0.0, x)
-        kept = first.copy()
-        second = rhs(1.0, 2.0 * x)
-        assert not np.shares_memory(first, second)
-        assert np.array_equal(first, kept)
-        assert not np.array_equal(first, second)
 
     def test_divergence_step_matches_reference(self):
         # 4.34 diverges on the last row of a check block and 4.33 on the first row

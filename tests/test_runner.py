@@ -286,6 +286,18 @@ class TestValidateConfig:
         path.write_text(path.read_text() + "\n[sweep]\nfield = entrainment.frequency\nvalues = 0.5 1.0\n")
         assert config.validate_config(runner.load_config(path)) == []
 
+    def test_frequency_sweep_at_zero_amplitude_flagged(self, tmp_path):
+        # every cell enables the drive, but at amplitude 0 it is never active
+        path = tmp_path / "freq.cfg"
+        path.write_text(GOOD_CONFIG + "\n[sweep]\nfield = entrainment.frequency\nvalues = 0.5 1.0\n")
+        assert config.validate_config(runner.load_config(path)) == [
+            "entrainment: entrainment.frequency is swept at amplitude 0 (no effect in any cell)"
+        ]
+        # a swept amplitude gives the drive one; test_benchmark_sweep_config_validates
+        # keeps the benchmark's frequency x amplitude sweep clean as well
+        path.write_text(path.read_text() + "field2 = entrainment.amplitude\nvalues2 = 0.1 0.3\n")
+        assert config.validate_config(runner.load_config(path)) == []
+
     def test_zero_strength_flagged(self):
         cfg = dataclasses.replace(
             runner.preset_config("rocking6-psc"), protocol=PartialState(0.0, 0.0)
@@ -659,6 +671,12 @@ CONTRACT_INPUTS = [
     pytest.param(["--dt", "0.005"],
                  ("field = protocol.c\nvalues = 0.1 0.2", "field = simulation.dt\nvalues = 0.01 0.02"),
                  "[sweep] simulation.dt is swept, so --dt", id="dt-flag-on-swept-dt"),
+    # math.sin raises on an infinite frequency * t, so the drive's phase must stay finite
+    pytest.param([], ("[simulation]", "[entrainment]\nenabled = true\namplitude = 0.3\nfrequency = 1e308\n\n"
+                      "[simulation]"), "[entrainment] frequency=1e+308 overflows", id="drive-phase-overflow"),
+    pytest.param([], ("field = protocol.c\nvalues = 0.1 0.2",
+                      "field = entrainment.frequency\nvalues = 0.5 1e308\n\n[entrainment]\namplitude = 0.3"),
+                 "[sweep] entrainment.frequency = 1e+308: [entrainment]", id="swept-drive-phase-overflow"),
 ]
 
 # The files each writing verb opens in its output directory before it integrates.
@@ -695,6 +713,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert "'rocking6-fsc' is both a preset name and a config file" in err and "./rocking6-fsc" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("verb", ["run", "sweep", "bounds", "validate"])
+    @pytest.mark.parametrize("blank", [pytest.param("", id="empty"), pytest.param("  ", id="spaces")])
+    def test_blank_out_dir_exits_config(self, verb, blank, tmp_path, capsys, monkeypatch):
+        # a blank [output] directory means the default; a blank flag would name the working directory
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text(GOOD_CONFIG + "\n[sweep]\nfield = protocol.c\nvalues = 0.1 0.2\n")
+        assert cli.main([verb, "run.cfg", "--out-dir", blank, "--duration", "1"]) == cli.EXIT_CONFIG
+        assert "[output] --out-dir must not be blank" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
     def test_validate_exit_ok(self, capsys):
         assert cli.main(["validate", "rocking6-fsc"]) == cli.EXIT_OK
