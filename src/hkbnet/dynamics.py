@@ -23,8 +23,9 @@ from .graph import Topology, laplacian
 # Integration aborts once any state component leaves this box.
 STATE_MAGNITUDE_LIMIT = 1e6
 
-# integrate checks the box once per this many stored steps and reports the
-# first step outside it; a per-step check cost one numpy reduction a step.
+# integrate steps this many rows into one reused block, checks the box once
+# per block and reports the first step outside it; a per-step check cost one
+# numpy reduction a step.
 _CHECK_BLOCK = 256
 
 
@@ -224,8 +225,8 @@ class Entrainment:
 class Trajectory:
     """Uniformly sampled network states.
 
-    states[j, i] holds (pos, vel) of node i at times[j]; times is the uniform
-    grid k * dt for k = 0 .. num_steps.
+    states[j, i] holds (pos, vel) of node i at times[j], or (pos,) alone in a
+    positions recording; times is the uniform grid k * dt for k = 0 .. num_steps.
     """
 
     dt: float
@@ -237,8 +238,8 @@ class Trajectory:
         states = np.asarray(self.states, dtype=float)
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
-        if states.ndim != 3 or states.shape[2] != 2 or states.shape[0] != times.shape[0]:
-            raise ValueError("states must have shape (num_samples, n, 2) matching times")
+        if states.ndim != 3 or states.shape[2] not in (1, 2) or states.shape[0] != times.shape[0]:
+            raise ValueError("states must have shape (num_samples, n, 2) or (num_samples, n, 1) matching times")
         if times.shape[0] < 1:
             raise ValueError("trajectory must hold at least one sample")
         if times.shape[0] > 1 and np.abs(np.diff(times) - self.dt).max() > 1e-9 * max(1.0, self.dt):
@@ -255,6 +256,16 @@ class Trajectory:
     @property
     def num_samples(self) -> int:
         return self.states.shape[0]
+
+    @property
+    def has_velocities(self) -> bool:
+        """Whether states holds each node's (pos, vel), not its position alone."""
+        return self.states.shape[2] == 2
+
+    def require_velocities(self, reader: str) -> None:
+        """Raise ValueError naming reader when this is a positions recording."""
+        if not self.has_velocities:
+            raise ValueError(f"{reader} needs velocities, but the trajectory records positions only")
 
 
 @dataclass(frozen=True)
@@ -353,13 +364,16 @@ def integrate(
     duration: float,
     dt: float,
     entrainment: Entrainment = Entrainment(),
+    positions_only: bool = False,
 ) -> Trajectory:
     """Classical fixed-step 4th-order Runge-Kutta integration of the network.
 
     x0 holds node i's initial (pos, vel) in row i, shape (n, 2).  dt must
     divide the duration (see step_count), and an active drive must keep
     frequency * t finite (see check_drive).  Every step is stored, so the
-    sampling interval of the returned trajectory equals dt.
+    sampling interval of the returned trajectory equals dt.  With
+    positions_only the trajectory records (samples, n, 1) positions, bitwise
+    the full states' [:, :, :1], and the velocities are never stored.
     Deterministic: identical inputs yield identical trajectories.
     Raises DivergenceError (with the offending step index)
     when the state stops being finite or exceeds STATE_MAGNITUDE_LIMIT.
@@ -373,8 +387,10 @@ def integrate(
     if not np.all(np.isfinite(x)):
         raise ValueError("initial state must be finite")
     field = _network_field_into(params, topology, protocol, entrainment)
-    states = np.empty((steps + 1, n, 2))
-    states[0] = x
+    kept = 1 if positions_only else 2
+    states = np.empty((steps + 1, n, kept))
+    states[0] = x[:, :kept]
+    block = np.empty((_CHECK_BLOCK, n, 2))  # checked whole, then copied into the recording
     half = 0.5 * dt
     # the RK4 weights as 0-d arrays, which numpy multiplies by faster than by
     # Python floats, with the same result
@@ -405,15 +421,17 @@ def integrate(
                 add(k1, k4, k1)
                 multiply(w_sixth, k1, k1)
                 add(x, k1, x)
-                states[k] = x
-            _check_rows(states, start, stop)
+                block[k - start] = x
+            rows = block[: stop - start]
+            _check_rows(rows, start)
+            states[start:stop] = rows[:, :, :kept]
     return Trajectory(dt=dt, times=np.arange(steps + 1) * dt, states=states)
 
 
-def _check_rows(states: np.ndarray, start: int, stop: int) -> None:
-    """Raise DivergenceError at the first of states[start:stop] outside the trusted box."""
+def _check_rows(rows: np.ndarray, start: int) -> None:
+    """Raise DivergenceError at the first of rows, the states of steps start onward, outside the trusted box."""
     # NaN compares false, so this catches it along with inf and runaway growth
-    inside = np.abs(states[start:stop]).max(axis=(1, 2)) <= STATE_MAGNITUDE_LIMIT
+    inside = np.abs(rows).max(axis=(1, 2)) <= STATE_MAGNITUDE_LIMIT
     if not inside.all():
         k = start + int(np.argmin(inside))
         raise DivergenceError(f"state left trusted region at step {k}", step=k)
@@ -421,6 +439,7 @@ def _check_rows(states: np.ndarray, start: int, stop: int) -> None:
 
 def state_extrema(traj: Trajectory) -> StateExtrema:
     """Suprema of |pos| and |vel| over every sample and node."""
+    traj.require_velocities("state_extrema")
     return StateExtrema(
         pos_max=float(np.abs(traj.states[:, :, 0]).max()),
         vel_max=float(np.abs(traj.states[:, :, 1]).max()),

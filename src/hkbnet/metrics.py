@@ -7,6 +7,7 @@ normalization.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,34 +18,11 @@ from .phase import DegenerateSignalError, PhaseSeries, phases_from_trajectory, w
 # Mean phasors shorter than this leave the group angle undefined.
 INDETERMINATE_ORDER_TOL = 1e-12
 
+# compute_sync_report takes the phase indices this many samples at a time, so
+# its temporaries do not grow with the run's duration.
+_SAMPLE_BLOCK = 1024
 
-@dataclass(frozen=True, eq=False)
-class RelativePhase:
-    """Per-node phase relative to the group, and its time-averaged phasor.
-
-    excluded_samples counts how many cluster-phase-indeterminate samples
-    were left out of the phasor average.
-    """
-
-    series: np.ndarray
-    mean_phasor: np.ndarray
-    mean_phase: np.ndarray
-    excluded_samples: int
-
-
-@dataclass(frozen=True, eq=False)
-class SyncReport:
-    """Every synchronization quantity computed from one trajectory."""
-
-    rho_k: np.ndarray
-    rho_g_series: np.ndarray
-    rho_g_mean: float
-    rho_g_std: float
-    dyadic: np.ndarray
-    eta_series: np.ndarray
-    rho_e_k: np.ndarray | None = None
-    rho_e: float | None = None
-    indeterminate_samples: int = 0
+_NO_CLUSTER_PHASE = "the nodes' phases cancel at every sample, so the cluster phase is never defined"
 
 
 def _unit_phasors(theta) -> np.ndarray:
@@ -53,7 +31,85 @@ def _unit_phasors(theta) -> np.ndarray:
     return np.exp(z, out=z)
 
 
-def agent_relative_phase(phases: PhaseSeries) -> RelativePhase:
+class PhasorMean:
+    """Per-node time mean of unit phasors, fed one block of samples at a time.
+
+    numpy sums a C-contiguous (samples, n) array over axis 0 one row after
+    another (for n >= 2), and add sums each block's rows onto the running
+    total in that order.  So however the samples are split into blocks,
+    mean() equals np.exp(1j * theta).mean(axis=0) over all of them, bit for bit.
+    """
+
+    def __init__(self):
+        self.total: np.ndarray | None = None
+        self.samples = 0
+
+    def add(self, theta: np.ndarray) -> None:
+        """Add the unit phasors of the (rows, n) angles theta."""
+        if len(theta) == 0:
+            return
+        z = _unit_phasors(theta)
+        if self.total is not None:
+            z = np.concatenate((self.total[None], z))
+        self.total = z.sum(axis=0)
+        self.samples += len(theta)
+
+    def mean(self) -> np.ndarray:
+        return self.total / self.samples
+
+
+@dataclass(frozen=True, eq=False)
+class RelativePhase:
+    """Per-node phase relative to the group, and its time-averaged phasor.
+
+    series holds the relative phases of the samples given.  phasors is the
+    running mean their determinate samples were added to, so mean_phasor
+    covers every block added to it.  excluded_samples counts the
+    cluster-phase-indeterminate samples among those given, which were left
+    out of the phasor average.
+    """
+
+    series: np.ndarray
+    phasors: PhasorMean
+    excluded_samples: int
+
+    @property
+    def mean_phasor(self) -> np.ndarray:
+        """Raises DegenerateSignalError when no sample added to phasors had a group angle."""
+        if not self.phasors.samples:
+            raise DegenerateSignalError(_NO_CLUSTER_PHASE)
+        return self.phasors.mean()
+
+    @property
+    def mean_phase(self) -> np.ndarray:
+        return wrap_phase(np.angle(self.mean_phasor))
+
+
+@dataclass(frozen=True, eq=False)
+class SyncReport:
+    """Every synchronization quantity computed from one trajectory.
+
+    eta_series is None when the trajectory records positions only.  The
+    report keeps the phases, and the dyadic matrix is computed from them
+    when first read.
+    """
+
+    rho_k: np.ndarray
+    rho_g_series: np.ndarray
+    rho_g_mean: float
+    rho_g_std: float
+    eta_series: np.ndarray | None
+    phases: PhaseSeries
+    rho_e_k: np.ndarray | None = None
+    rho_e: float | None = None
+    indeterminate_samples: int = 0
+
+    @functools.cached_property
+    def dyadic(self) -> np.ndarray:
+        return dyadic_matrix(self.phases)
+
+
+def agent_relative_phase(phases: PhaseSeries, phasors: PhasorMean | None = None) -> RelativePhase:
     """Phase of each node relative to the group, averaged as a unit phasor.
 
     The group (cluster) phase at a sample is the angle of the mean unit
@@ -62,22 +118,21 @@ def agent_relative_phase(phases: PhaseSeries) -> RelativePhase:
     taken as 0, and it is excluded from the phasor average and counted in
     the result.  Raises DegenerateSignalError when every sample is
     indeterminate.
+
+    Given phasors, the running mean of earlier samples, the relative
+    phasors are added to it, and only reading mean_phasor raises: this is
+    how compute_sync_report takes a series block by block.
     """
     order = _unit_phasors(phases.phases).mean(axis=1)
     indeterminate = np.abs(order) < INDETERMINATE_ORDER_TOL
-    if indeterminate.all():
-        raise DegenerateSignalError(
-            "the nodes' phases cancel at every sample, so the cluster phase is never defined"
-        )
+    if phasors is None:
+        if indeterminate.all():
+            raise DegenerateSignalError(_NO_CLUSTER_PHASE)
+        phasors = PhasorMean()
     group_angle = np.where(indeterminate, 0.0, np.angle(order))
     rel = wrap_phase(phases.phases - group_angle[:, None])
-    mean_phasor = _unit_phasors(rel[~indeterminate] if indeterminate.any() else rel).mean(axis=0)
-    return RelativePhase(
-        series=rel,
-        mean_phasor=mean_phasor,
-        mean_phase=wrap_phase(np.angle(mean_phasor)),
-        excluded_samples=int(indeterminate.sum()),
-    )
+    phasors.add(rel[~indeterminate] if indeterminate.any() else rel)
+    return RelativePhase(series=rel, phasors=phasors, excluded_samples=int(indeterminate.sum()))
 
 
 def agent_sync_degree(mean_phasor) -> np.ndarray:
@@ -113,21 +168,28 @@ def dyadic_matrix(phases: PhaseSeries) -> np.ndarray:
     return upper + upper.T + np.eye(phases.n_nodes)
 
 
-def entrainment_index(phases: PhaseSeries, entrainment: Entrainment) -> tuple[np.ndarray, float]:
+def entrainment_index(
+    phases: PhaseSeries, entrainment: Entrainment, phasors: PhasorMean | None = None
+) -> tuple[np.ndarray, float]:
     """Per-node and mean phase locking onto the external sinusoid.
 
     The reference phase is computed analytically as frequency * t - pi/2
-    (exact for a pure sine), not Hilbert-extracted.
+    (exact for a pure sine), not Hilbert-extracted.  Given phasors, the
+    running mean of earlier samples, the samples are added to it and the
+    indices cover every sample added so far.
     """
     if not entrainment.active:
         raise ValueError("no entrainment signal was active; index undefined")
     reference = wrap_phase(entrainment.frequency * phases.times - 0.5 * np.pi)
-    per_node = np.abs(_unit_phasors(phases.phases - reference[:, None]).mean(axis=0))
+    phasors = PhasorMean() if phasors is None else phasors
+    phasors.add(phases.phases - reference[:, None])
+    per_node = np.abs(phasors.mean())
     return per_node, float(per_node.mean())
 
 
 def tracking_error_norm(traj: Trajectory) -> np.ndarray:
     """Euclidean norm of the stacked deviations from the average trajectory."""
+    traj.require_velocities("tracking_error_norm")
     if traj.n_nodes < 2:
         raise ValueError("tracking error needs at least two nodes")
     deviation = traj.states - traj.states.mean(axis=1, keepdims=True)
@@ -142,31 +204,45 @@ def compute_sync_report(
 ) -> SyncReport:
     """Run the whole metric suite on one trajectory.
 
-    Entrainment indices are filled in only when the signal is active;
-    precomputed phases may be supplied to avoid repeating the extraction.
+    Entrainment indices are filled in only when the signal is active, and
+    eta only when the trajectory records velocities; precomputed phases may
+    be supplied to avoid repeating the extraction.  The phase indices are
+    taken _SAMPLE_BLOCK samples at a time by the whole-series functions,
+    with the same result to the last bit.
     """
-    eta = tracking_error_norm(traj)
+    eta = tracking_error_norm(traj) if traj.has_velocities else None
     ph = phases if phases is not None else phases_from_trajectory(traj)
     # Nothing below reads the trajectory, so the report keeps no reference to
-    # it: a caller that keeps none either frees the states here, before the
-    # full-size phasor buffers below are allocated.
+    # it: a caller that keeps none either frees the states here.
     del traj
-    dyadic = dyadic_matrix(ph)
-    rho_e_k = None
-    rho_e = None
-    if entrainment.active:
-        rho_e_k, rho_e = entrainment_index(ph, entrainment)
-    rel = agent_relative_phase(ph)
-    series = group_sync_series(rel.series, rel.mean_phase)
+    relative = PhasorMean()
+    drive = PhasorMean() if entrainment.active else None
+    rho_e_k = rho_e = None
+    excluded = 0
+    # the group index needs the mean phase of every sample, so the relative
+    # phases are kept until the last block is in
+    rel_series = np.empty_like(ph.phases)
+    for block in ph.blocks(_SAMPLE_BLOCK):
+        rel = agent_relative_phase(block, relative)
+        first = block.start - ph.start
+        rel_series[first : first + block.num_samples] = rel.series
+        excluded += rel.excluded_samples
+        if drive is not None:
+            rho_e_k, rho_e = entrainment_index(block, entrainment, drive)
+    mean_phase = rel.mean_phase
+    series = np.concatenate([
+        group_sync_series(rel_series[first : first + _SAMPLE_BLOCK], mean_phase)
+        for first in range(0, len(rel_series), _SAMPLE_BLOCK)
+    ])
     mean, std = group_sync_summary(series)
     return SyncReport(
         rho_k=agent_sync_degree(rel.mean_phasor),
         rho_g_series=series,
         rho_g_mean=mean,
         rho_g_std=std,
-        dyadic=dyadic,
         eta_series=eta,
+        phases=ph,
         rho_e_k=rho_e_k,
         rho_e=rho_e,
-        indeterminate_samples=rel.excluded_samples,
+        indeterminate_samples=excluded,
     )

@@ -42,17 +42,19 @@ def analytic_signal(samples) -> np.ndarray:
         raise ValueError(f"need at least 4 samples, got {m}")
     if not np.all(np.isfinite(s)):
         raise ValueError("samples must be finite")
-    centered = s - s.mean()
     padded_len = 1 << (m - 1).bit_length()
-    padded = np.zeros(padded_len)
-    padded[:m] = centered
-    spec = np.fft.fft(padded)
+    # one complex buffer, transformed in place both ways (fft's out= needs
+    # numpy 2.0): numpy's fft would copy a real input into a complex one,
+    # with the same values
+    spec = np.zeros(padded_len, dtype=complex)
+    np.subtract(s, s.mean(), out=spec.real[:m])
+    np.fft.fft(spec, out=spec)
     gain = np.zeros(padded_len)
     gain[0] = 1.0
     gain[padded_len // 2] = 1.0
     gain[1 : padded_len // 2] = 2.0
     spec *= gain
-    return np.fft.ifft(spec)[:m]
+    return np.fft.ifft(spec, out=spec)[:m]
 
 
 def instantaneous_phase(samples) -> np.ndarray:
@@ -71,11 +73,14 @@ def instantaneous_phase(samples) -> np.ndarray:
 class PhaseSeries:
     """Per-node instantaneous phases on a uniform time grid.
 
-    phases[j, k] is the phase of node k at time j * dt, in (-pi, pi].
+    phases[j, k] is the phase of node k at time (start + j) * dt, in
+    (-pi, pi]; start is nonzero for a block of samples taken from a longer
+    series.
     """
 
     dt: float
     phases: np.ndarray
+    start: int = 0
 
     def __post_init__(self):
         phases = np.asarray(self.phases, dtype=float)
@@ -99,7 +104,15 @@ class PhaseSeries:
 
     @property
     def times(self) -> np.ndarray:
-        return np.arange(self.num_samples) * self.dt
+        return np.arange(self.start, self.start + self.num_samples) * self.dt
+
+    def blocks(self, size: int):
+        """The series as consecutive PhaseSeries of at most size samples each, viewing its phases.
+
+        An empty series is one empty block.
+        """
+        for first in range(0, max(self.num_samples, 1), size):
+            yield PhaseSeries(self.dt, self.phases[first : first + size], self.start + first)
 
 
 def phases_from_trajectory(traj) -> PhaseSeries:

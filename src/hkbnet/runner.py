@@ -22,7 +22,7 @@ from .bounds import BoundsOptions  # noqa: F401
 from .config import ConfigError, RunConfig, SweepSpec, _sweep_grid, load_config, preset_config  # noqa: F401
 from .dynamics import DivergenceError, FullState, Trajectory, integrate, state_extrema, step_count
 from .metrics import SyncReport, compute_sync_report
-from .phase import PhaseSeries, phases_from_trajectory
+from .phase import DegenerateSignalError, PhaseSeries, phases_from_trajectory
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,10 +59,11 @@ class SweepCell:
 # ---------------------------------------------------------------------------
 
 
-def _integrate(config: RunConfig) -> Trajectory:
+def _integrate(config: RunConfig, positions_only: bool = False) -> Trajectory:
     try:
         return integrate(config.params, config.topology, config.protocol, config.initial_states,
-                         config.duration, config.dt, entrainment=config.entrainment)
+                         config.duration, config.dt, entrainment=config.entrainment,
+                         positions_only=positions_only)
     except MemoryError:
         samples = step_count(config.duration, config.dt) + 1
         raise ConfigError(f"[simulation] {samples} samples do not fit in memory") from None
@@ -119,16 +120,22 @@ def bounds_rows(config: RunConfig, traj: Trajectory) -> tuple[tuple[str, float],
     return tuple(rows)
 
 
+def nodes_fault(exc: DegenerateSignalError) -> str:
+    """The message for nodes that have no phase: a fault of the [nodes] table that only a run finds."""
+    return f"[nodes] {exc}"
+
+
 def _cell_report(config: RunConfig) -> CellReport | None:
     """Simulate one sweep cell and keep its three scalars, or None if it diverges.
 
-    The trajectory goes straight to the report, which frees it once eta and
-    the phases are taken, and the full report goes when this returns, so no
+    The cell records positions only, which is all its three scalars read.
+    The trajectory goes straight to the report, which frees it once the
+    phases are taken, and the full report goes when this returns, so no
     cell's per-sample arrays outlive it or overlap the next cell's.
     """
     # No name here holds the trajectory; only the integration can diverge.
     try:
-        report = compute_sync_report(_integrate(config), entrainment=config.entrainment)
+        report = compute_sync_report(_integrate(config, positions_only=True), entrainment=config.entrainment)
     except DivergenceError:
         return None
     return CellReport(report.rho_g_mean, report.rho_g_std, report.rho_e)
@@ -138,10 +145,19 @@ def run_sweep(config: RunConfig) -> list[SweepCell]:
     """Execute the sweep grid cell by cell (no I/O).
 
     Cells are independent: a cell that diverges is recorded without stopping
-    the rest of the grid, and any other error propagates.  Each cell keeps
-    only its three scalars, so memory does not grow with cells x samples.
+    the rest of the grid.  A cell without a phase raises ConfigError naming
+    its swept values, and any other error propagates.  Each cell keeps only
+    its three scalars, so memory does not grow with cells x samples.
     """
-    return [SweepCell(v1, v2, _cell_report(cell_cfg)) for v1, v2, cell_cfg in _sweep_grid(config)]
+    cells = []
+    for v1, v2, cell_cfg in _sweep_grid(config):
+        try:
+            cells.append(SweepCell(v1, v2, _cell_report(cell_cfg)))
+        except DegenerateSignalError as exc:
+            spec = config.sweep
+            swept = f"{spec.field} = {v1!r}" + ("" if v2 is None else f", {spec.field2} = {v2!r}")
+            raise ConfigError(f"[sweep] {swept}: {nodes_fault(exc)}") from None
+    return cells
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +228,7 @@ _BOUNDS_HEADER = ("quantity", "value")
 
 def write_outputs(result: RunResult, handles) -> RunResult:
     """Write the artifact bundle for one run into handles, open on RUN_FILES in order, and record their paths."""
+    result.trajectory.require_velocities("write_outputs")
     trajectory, phases, rho_g, eta, sync_report, bounds_csv = handles
     times = result.trajectory.times
     states = result.trajectory.states

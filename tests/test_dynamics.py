@@ -1,12 +1,13 @@
 """Unit tests for the node field, coupling protocols, and RK4 integration."""
 
 import dataclasses
+import functools
 import warnings
 
 import numpy as np
 import pytest
 
-from hkbnet import dynamics, runner
+from hkbnet import dynamics, metrics, runner
 from hkbnet.dynamics import (
     STATE_MAGNITUDE_LIMIT,
     DivergenceError,
@@ -434,10 +435,15 @@ class TestInPlaceStep:
     @pytest.mark.parametrize("drive", [pytest.param(Entrainment(), id="None"),
                                        Entrainment(amplitude=0.3, frequency=0.5, enabled=True)])
     def test_matches_reference_bitwise(self, protocol, drive):
-        # no digest pins PSC or HKB with a drive on an irregular graph
+        # no digest pins PSC or HKB with a drive on an irregular graph; both
+        # recordings are checked in each case, so the case ids stay as they were
         for top in (complete_graph(6), irregular_graph()):
             args = (ROCKING6_PARAMS, top, protocol, ROCKING6_INITIAL, 20.0, 0.01, drive)
-            assert np.array_equal(integrate(*args).states, reference_integrate(*args))
+            reference = reference_integrate(*args)
+            assert np.array_equal(integrate(*args).states, reference)
+            positions = integrate(*args, positions_only=True).states
+            assert positions.shape == reference.shape[:2] + (1,)
+            assert np.array_equal(positions[:, :, 0], reference[:, :, 0])
 
     def test_divergence_step_matches_reference(self):
         # 4.34 diverges on the last row of a check block and 4.33 on the first row
@@ -448,6 +454,7 @@ class TestInPlaceStep:
             for gamma in (3.0, 4.33, 4.34, 5.0, 6.0):
                 step = divergence_step(integrate, gamma)
                 assert step == divergence_step(reference_integrate, gamma), gamma
+                assert step == divergence_step(functools.partial(integrate, positions_only=True), gamma), gamma
                 steps.append(step)
         offsets = {step % dynamics._CHECK_BLOCK for step in steps}
         assert 0 in offsets and 1 in offsets and offsets - {0, 1}
@@ -459,15 +466,34 @@ class TestInPlaceStep:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for protocol in ALL_PROTOCOLS:
-                with pytest.raises(DivergenceError) as err:
-                    integrate([huge, huge], complete_graph(2), protocol, [[1e3, 1e3], [1e3, -1e3]], 10.0, 0.01)
-                assert err.value.step == 1
+                for positions_only in (False, True):
+                    with pytest.raises(DivergenceError) as err:
+                        integrate([huge, huge], complete_graph(2), protocol, [[1e3, 1e3], [1e3, -1e3]], 10.0, 0.01,
+                                  positions_only=positions_only)
+                    assert err.value.step == 1
 
 
 class TestBoundedness:
     def test_preset_runs_stay_in_band(self, rocking6_nc, rocking6_fsc, rocking6_psc, rocking6_hkb):
         for result in (rocking6_nc, rocking6_fsc, rocking6_psc, rocking6_hkb):
             assert np.abs(result.trajectory.states).max() < 10.0
+
+
+class TestPositionsRecording:
+    @pytest.mark.parametrize("reader", [
+        pytest.param(state_extrema, id="state_extrema"),
+        pytest.param(metrics.tracking_error_norm, id="tracking_error_norm"),
+        # the check comes before the bundle is unpacked, so no file is needed
+        pytest.param(lambda traj: runner.write_outputs(runner.RunResult(traj, None, None, ()), [None] * 6),
+                     id="write_outputs"),
+    ])
+    def test_velocity_readers_reject_positions(self, reader):
+        # without the check, two of them would fail on an index and eta would come from positions alone
+        traj = integrate(ROCKING6_PARAMS[:3], complete_graph(3), FullState(0.15), ROCKING6_INITIAL[:3], 1.0, 0.01,
+                         positions_only=True)
+        assert not traj.has_velocities
+        with pytest.raises(ValueError, match=r"needs velocities, but the trajectory records positions only"):
+            reader(traj)
 
 
 class TestStateExtrema:

@@ -310,7 +310,8 @@ class TestComputeSyncReport:
                         "a call's arguments until the call returns")
     def test_trajectory_freed_before_the_phasor_buffers(self, monkeypatch):
         # a caller that keeps no reference to the trajectory hands its states
-        # over, and the report lets them go once eta and the phases are taken
+        # over, and the report lets them go once eta and the phases are taken,
+        # before the first block of relative phasors
         node = OscillatorParams(0.46, 1.16, 0.58, 0.31)
         x0 = [[1.0, 0.0], [-1.0, 0.1]]
         alive = []
@@ -320,16 +321,96 @@ class TestComputeSyncReport:
             alive.append(weakref.ref(traj))
             return traj
 
-        freed_at_dyadic = []
-        dyadic = metrics.dyadic_matrix
+        freed_at_block = []
+        relative = metrics.agent_relative_phase
 
-        def recording(phases):
-            freed_at_dyadic.append(alive[0]() is None)
-            return dyadic(phases)
+        def recording(phases, phasors=None):
+            freed_at_block.append(alive[0]() is None)
+            return relative(phases, phasors)
 
-        monkeypatch.setattr(metrics, "dyadic_matrix", recording)
+        monkeypatch.setattr(metrics, "agent_relative_phase", recording)
         compute_sync_report(unkept_trajectory())
-        assert freed_at_dyadic == [True]
+        assert freed_at_block and all(freed_at_block)
+
+    def test_positions_recording_reports_the_same_indices(self, monkeypatch):
+        # a positions recording has no eta, and no report builds the dyadic matrix until it is read
+        node, other = OscillatorParams(0.46, 1.16, 0.58, 0.31), OscillatorParams(0.25, 0.86, 0.56, 0.62)
+        ent = Entrainment(amplitude=0.2, frequency=0.5, enabled=True)
+        args = ([node, other, node], complete_graph(3, 1.0), FullState(0.2), [[1.0, 0.0], [-1.0, 0.1], [0.3, 0.0]],
+                20.0, 0.01, ent)
+        built = []
+        dyadic = metrics.dyadic_matrix
+        monkeypatch.setattr(metrics, "dyadic_matrix", lambda phases: built.append(1) or dyadic(phases))
+        full = compute_sync_report(integrate(*args), entrainment=ent)
+        positions = compute_sync_report(integrate(*args, positions_only=True), entrainment=ent)
+        assert full.eta_series.shape == (2001,) and positions.eta_series is None
+        assert built == []
+        for name in ("rho_k", "rho_g_series", "rho_g_mean", "rho_g_std", "rho_e_k", "rho_e", "dyadic"):
+            assert np.array_equal(getattr(full, name), getattr(positions, name)), name
+        assert full.dyadic is full.dyadic and len(built) == 2  # built once per report
+
+
+def _with_antipodal_rows(phases, rows):
+    """phases with each given row replaced by two antipodal pairs, whose phasors cancel."""
+    phases = phases.copy()
+    for row in rows:
+        a, b = phases[row, 0], phases[row, 2]
+        phases[row] = [a, a + np.pi, b, b + np.pi]
+    return wrap_phase(phases)
+
+
+class TestSampleBlocks:
+    """compute_sync_report's block-by-block indices against the whole-series functions, bit for bit."""
+
+    @pytest.mark.parametrize("samples", [15, 16, 17])  # one below, at and one above two blocks of 8
+    @pytest.mark.parametrize("indeterminate", [
+        pytest.param((), id="none"),
+        pytest.param((6, 7, 8, 9), id="both-sides-of-an-edge"),
+        pytest.param(tuple(range(8)), id="whole-first-block"),
+    ])
+    @pytest.mark.parametrize("drive", [pytest.param(Entrainment(), id="off"),
+                                       pytest.param(Entrainment(amplitude=0.2, frequency=0.7, enabled=True), id="on")])
+    def test_blocks_match_the_whole_series(self, samples, indeterminate, drive, monkeypatch):
+        monkeypatch.setattr(metrics, "_SAMPLE_BLOCK", 8)
+        rng = np.random.default_rng(samples)
+        ps = PhaseSeries(dt=0.05, phases=_with_antipodal_rows(rng.uniform(-np.pi, np.pi, (samples, 4)), indeterminate))
+        positions = Trajectory(dt=0.05, times=np.arange(samples) * 0.05, states=np.zeros((samples, 4, 1)))
+        report = compute_sync_report(positions, entrainment=drive, phases=ps)
+
+        rel = agent_relative_phase(ps)
+        assert rel.excluded_samples == report.indeterminate_samples == len(indeterminate)
+        # the whole-series phasor mean is numpy's own mean over the determinate samples
+        determinate = np.setdiff1d(np.arange(samples), indeterminate)
+        assert np.array_equal(rel.mean_phasor, np.exp(1j * rel.series[determinate]).mean(axis=0))
+        series = group_sync_series(rel.series, rel.mean_phase)
+        assert np.array_equal(report.rho_g_series, series)
+        assert (report.rho_g_mean, report.rho_g_std) == group_sync_summary(series)
+        assert np.array_equal(report.rho_k, agent_sync_degree(rel.mean_phasor))
+        if drive.active:
+            per_node, overall = entrainment_index(ps, drive)
+            reference = wrap_phase(drive.frequency * np.arange(samples) * 0.05 - 0.5 * np.pi)
+            assert np.array_equal(per_node, np.abs(np.exp(1j * (ps.phases - reference[:, None])).mean(axis=0)))
+            assert np.array_equal(report.rho_e_k, per_node) and report.rho_e == overall
+        else:
+            assert report.rho_e_k is None and report.rho_e is None
+
+    def test_indeterminate_at_every_sample_raises_after_the_last_block(self, monkeypatch):
+        monkeypatch.setattr(metrics, "_SAMPLE_BLOCK", 8)
+        ps = PhaseSeries(dt=0.05, phases=_with_antipodal_rows(np.zeros((17, 4)), range(17)))
+        positions = Trajectory(dt=0.05, times=np.arange(17) * 0.05, states=np.zeros((17, 4, 1)))
+        with pytest.raises(DegenerateSignalError, match="every sample"):
+            compute_sync_report(positions, phases=ps)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_running_phasor_mean_is_numpy_mean(self, n):
+        # numpy sums over axis 0 row after row for two or more columns, so any split gives its mean
+        theta = np.random.default_rng(n).uniform(-np.pi, np.pi, (2049, n))
+        whole = np.exp(1j * theta).mean(axis=0)
+        for size in (1, 7, 1024, 2049):
+            running = metrics.PhasorMean()
+            for first in range(0, len(theta), size):
+                running.add(theta[first : first + size])
+            assert np.array_equal(running.mean(), whole), size
 
 
 class TestDiscretizationError:

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hkbnet import cli, config, runner
+from hkbnet import cli, config, metrics, runner
 from hkbnet.dynamics import Entrainment, FullState, HkbCoupling, NoCoupling, PartialState, step_count
 from hkbnet.presets import (
     ROCKING6_INITIAL,
@@ -407,6 +407,22 @@ class TestRunOutputs:
         digest = hashlib.sha256((tmp_path / "bounds.csv").read_bytes()).hexdigest()
         assert digest == "c94a4e024634e0b46b5c17649ae449cc81a042daa7f5e074e50c66023a8bbb4b"
 
+    def test_inactive_drive_is_no_drive(self, tmp_path):
+        # enabled at amplitude 0 the drive is never evaluated, so every byte is as without [entrainment]
+        text = GOOD_CONFIG + "\n[sweep]\nfield = protocol.c\nvalues = 0.1 0.2\n"
+        inactive = "\n[entrainment]\nenabled = true\namplitude = 0\nfrequency = 0.5\n"
+        written = {}
+        for name, extra in (("plain", ""), ("inactive", inactive)):
+            path = tmp_path / f"{name}.cfg"
+            path.write_text(text + extra)
+            out = tmp_path / name
+            with redirect_stdout(io.StringIO()):
+                assert cli.main(["run", str(path), "--out-dir", str(out)]) == cli.EXIT_OK
+                assert cli.main(["sweep", str(path), "--out-dir", str(out)]) == cli.EXIT_OK
+            written[name] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(written["plain"]) == sorted(VERB_FILES["run"] + VERB_FILES["sweep"])
+        assert written["inactive"] == written["plain"]
+
 
 def _row_writer(path, header, rows):
     """The row-by-row writer the per-sample files used to go through, kept as the oracle."""
@@ -485,20 +501,29 @@ class TestSweep:
 
     def test_one_integrate_and_one_report_per_cell(self, monkeypatch):
         # the traced sweep_entrain benchmark asserts this too (SweepEntrain.expected_calls):
-        # a kernel that integrates several cells in one call changes both together
-        calls = dict.fromkeys(("integrate", "compute_sync_report"), 0)
+        # a kernel that integrates several cells in one call changes both together.
+        # Its tracer also counts steps from each integrate result's num_samples and
+        # FFT points from each phases_from_trajectory argument's states.shape[:2].
+        calls = dict.fromkeys(("integrate", "compute_sync_report", "phases_from_trajectory"), 0)
+        seen = {"integrate": [], "phases_from_trajectory": []}
 
-        def counting(name):
-            wrapped = getattr(runner, name)
+        def counting(module, name):
+            wrapped = getattr(module, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
-                return wrapped(*args, **kwargs)
+                result = wrapped(*args, **kwargs)
+                if name == "integrate":
+                    seen[name].append(result.num_samples)
+                elif name == "phases_from_trajectory":
+                    seen[name].append(args[0].states.shape[:2])
+                return result
 
             return wrapper
 
-        for name in calls:
-            monkeypatch.setattr(runner, name, counting(name))
+        for module, name in ((runner, "integrate"), (runner, "compute_sync_report"),
+                             (metrics, "phases_from_trajectory")):
+            monkeypatch.setattr(module, name, counting(module, name))
         cfg = dataclasses.replace(
             runner.preset_config("rocking6-fsc"),
             duration=5.0,
@@ -508,7 +533,9 @@ class TestSweep:
             ),
         )
         assert len(runner.run_sweep(cfg)) == 6
-        assert calls == {"integrate": 6, "compute_sync_report": 6}
+        assert calls == {"integrate": 6, "compute_sync_report": 6, "phases_from_trajectory": 6}
+        samples = step_count(cfg.duration, cfg.dt) + 1
+        assert seen == {"integrate": [samples] * 6, "phases_from_trajectory": [(samples, 6)] * 6}
 
     def test_divergent_cell_is_recorded_and_sweep_continues(self, tmp_path):
         path = tmp_path / "unstable.cfg"
@@ -558,10 +585,11 @@ class TestSweep:
 
     @pytest.mark.skipif(sys.version_info < (3, 11), reason="before CPython 3.11 the caller's stack holds "
                         "a call's arguments until the call returns")
-    def test_cell_peak_under_six_phase_arrays(self):
-        # the seed-3 benchmark cell hands its trajectory straight to the report,
-        # which frees the states before the phasor buffers: 5.5 phase arrays at
-        # the peak, against 7.7 while the cell's frame kept the trajectory
+    def test_cell_peak_under_three_and_a_half_phase_arrays(self):
+        # the seed-3 benchmark cell records positions only and hands them straight
+        # to the report, which frees them once the phases are taken and takes the
+        # indices in sample blocks: 3.1 phase arrays at the peak, during phase
+        # extraction, against 5.5 with full states and whole-series phasor buffers
         cell = dataclasses.replace(
             runner.preset_config("rocking6-fsc"),
             entrainment=Entrainment(amplitude=0.196, frequency=0.169, enabled=True),
@@ -574,7 +602,7 @@ class TestSweep:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 6 * phases_bytes
+        assert peak < 3.5 * phases_bytes
 
     def test_unknown_sweep_field(self):
         # only dataclass fields are sweepable, not other attributes of the protocol;
@@ -831,6 +859,23 @@ class TestCli:
         assert "[nodes]" in err and "node 2" in err
         # the verb stopped after opening its files, so it leaves them empty
         assert {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()} == dict.fromkeys(VERB_FILES[verb], b"")
+
+    def test_sweep_names_the_cell_whose_node_never_moves(self, tmp_path, capsys):
+        # node 3 starts at the origin: without coupling it stays there, at c = 0.5 its neighbors move it
+        path = tmp_path / "still.cfg"
+        path.write_text(
+            "[network]\npreset = complete\nnodes = 3\n\n"
+            "[nodes]\ntable =\n    0.46 1.16 0.58 0.31 -1.4 0.3\n    0.25 0.86 0.56 0.62 -0.8 -0.1\n"
+            "    0.37 1.20 1.84 0.52 0 0\n\n"
+            "[protocol]\nkind = full_state\nc = 0.5\n\n[simulation]\nduration = 2\n\n"
+            "[sweep]\nfield = protocol.c\nvalues = 0.5 0.0\nfield2 = simulation.dt\nvalues2 = 0.01\n"
+        )
+        out = tmp_path / "out"
+        assert cli.main(["sweep", str(path), "--out-dir", str(out)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: [sweep] protocol.c = 0.0, simulation.dt = 0.01: [nodes] node 3 never moves, so it has no phase\n"
+        )
+        assert (out / "sweep.csv").read_bytes() == b""
 
     @pytest.mark.parametrize("verb", ["run", "sweep"])
     def test_cluster_phase_never_defined_exits_config(self, verb, tmp_path, capsys):
