@@ -18,11 +18,9 @@ from .phase import DegenerateSignalError, PhaseSeries, phases_from_trajectory, w
 # Mean phasors shorter than this leave the group angle undefined.
 INDETERMINATE_ORDER_TOL = 1e-12
 
-# compute_sync_report takes the phase indices this many samples at a time, so
-# its temporaries do not grow with the run's duration.
+# The phase indices are taken this many samples at a time, so their
+# temporaries do not grow with the run's duration.
 _SAMPLE_BLOCK = 1024
-
-_NO_CLUSTER_PHASE = "the nodes' phases cancel at every sample, so the cluster phase is never defined"
 
 
 def _unit_phasors(theta) -> np.ndarray:
@@ -58,31 +56,24 @@ class PhasorMean:
         return self.total / self.samples
 
 
+def _sample_blocks(num_samples: int):
+    """Consecutive slices of at most _SAMPLE_BLOCK samples that cover range(num_samples)."""
+    for first in range(0, num_samples, _SAMPLE_BLOCK):
+        yield slice(first, min(first + _SAMPLE_BLOCK, num_samples))
+
+
 @dataclass(frozen=True, eq=False)
 class RelativePhase:
     """Per-node phase relative to the group, and its time-averaged phasor.
 
-    series holds the relative phases of the samples given.  phasors is the
-    running mean their determinate samples were added to, so mean_phasor
-    covers every block added to it.  excluded_samples counts the
-    cluster-phase-indeterminate samples among those given, which were left
-    out of the phasor average.
+    excluded_samples counts how many cluster-phase-indeterminate samples
+    were left out of the phasor average.
     """
 
     series: np.ndarray
-    phasors: PhasorMean
+    mean_phasor: np.ndarray
+    mean_phase: np.ndarray
     excluded_samples: int
-
-    @property
-    def mean_phasor(self) -> np.ndarray:
-        """Raises DegenerateSignalError when no sample added to phasors had a group angle."""
-        if not self.phasors.samples:
-            raise DegenerateSignalError(_NO_CLUSTER_PHASE)
-        return self.phasors.mean()
-
-    @property
-    def mean_phase(self) -> np.ndarray:
-        return wrap_phase(np.angle(self.mean_phasor))
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,7 +100,7 @@ class SyncReport:
         return dyadic_matrix(self.phases)
 
 
-def agent_relative_phase(phases: PhaseSeries, phasors: PhasorMean | None = None) -> RelativePhase:
+def agent_relative_phase(phases: PhaseSeries) -> RelativePhase:
     """Phase of each node relative to the group, averaged as a unit phasor.
 
     The group (cluster) phase at a sample is the angle of the mean unit
@@ -118,21 +109,24 @@ def agent_relative_phase(phases: PhaseSeries, phasors: PhasorMean | None = None)
     taken as 0, and it is excluded from the phasor average and counted in
     the result.  Raises DegenerateSignalError when every sample is
     indeterminate.
-
-    Given phasors, the running mean of earlier samples, the relative
-    phasors are added to it, and only reading mean_phasor raises: this is
-    how compute_sync_report takes a series block by block.
     """
-    order = _unit_phasors(phases.phases).mean(axis=1)
-    indeterminate = np.abs(order) < INDETERMINATE_ORDER_TOL
-    if phasors is None:
-        if indeterminate.all():
-            raise DegenerateSignalError(_NO_CLUSTER_PHASE)
-        phasors = PhasorMean()
-    group_angle = np.where(indeterminate, 0.0, np.angle(order))
-    rel = wrap_phase(phases.phases - group_angle[:, None])
-    phasors.add(rel[~indeterminate] if indeterminate.any() else rel)
-    return RelativePhase(series=rel, phasors=phasors, excluded_samples=int(indeterminate.sum()))
+    series = np.empty_like(phases.phases)
+    phasors = PhasorMean()
+    excluded = 0
+    for rows in _sample_blocks(phases.num_samples):
+        block = phases.phases[rows]
+        order = _unit_phasors(block).mean(axis=1)
+        indeterminate = np.abs(order) < INDETERMINATE_ORDER_TOL
+        group_angle = np.where(indeterminate, 0.0, np.angle(order))
+        rel = series[rows] = wrap_phase(block - group_angle[:, None])
+        phasors.add(rel[~indeterminate] if indeterminate.any() else rel)
+        excluded += int(indeterminate.sum())
+    if not phasors.samples:
+        raise DegenerateSignalError(
+            "the nodes' phases cancel at every sample, so the cluster phase is never defined"
+        )
+    mean_phasor = phasors.mean()
+    return RelativePhase(series, mean_phasor, wrap_phase(np.angle(mean_phasor)), excluded)
 
 
 def agent_sync_degree(mean_phasor) -> np.ndarray:
@@ -142,8 +136,12 @@ def agent_sync_degree(mean_phasor) -> np.ndarray:
 
 def group_sync_series(rel_phases, mean_phase) -> np.ndarray:
     """Instantaneous group synchronization index in [0, 1]."""
-    deviation = np.asarray(rel_phases, dtype=float) - np.asarray(mean_phase, dtype=float)[None, :]
-    return np.abs(_unit_phasors(deviation).mean(axis=1))
+    rel_phases = np.asarray(rel_phases, dtype=float)
+    mean_phase = np.asarray(mean_phase, dtype=float)[None, :]
+    series = np.empty(len(rel_phases))
+    for rows in _sample_blocks(len(rel_phases)):
+        series[rows] = np.abs(_unit_phasors(rel_phases[rows] - mean_phase).mean(axis=1))
+    return series
 
 
 def group_sync_summary(series) -> tuple[float, float]:
@@ -168,21 +166,19 @@ def dyadic_matrix(phases: PhaseSeries) -> np.ndarray:
     return upper + upper.T + np.eye(phases.n_nodes)
 
 
-def entrainment_index(
-    phases: PhaseSeries, entrainment: Entrainment, phasors: PhasorMean | None = None
-) -> tuple[np.ndarray, float]:
+def entrainment_index(phases: PhaseSeries, entrainment: Entrainment) -> tuple[np.ndarray, float]:
     """Per-node and mean phase locking onto the external sinusoid.
 
     The reference phase is computed analytically as frequency * t - pi/2
-    (exact for a pure sine), not Hilbert-extracted.  Given phasors, the
-    running mean of earlier samples, the samples are added to it and the
-    indices cover every sample added so far.
+    (exact for a pure sine), not Hilbert-extracted.
     """
     if not entrainment.active:
         raise ValueError("no entrainment signal was active; index undefined")
-    reference = wrap_phase(entrainment.frequency * phases.times - 0.5 * np.pi)
-    phasors = PhasorMean() if phasors is None else phasors
-    phasors.add(phases.phases - reference[:, None])
+    phasors = PhasorMean()
+    for rows in _sample_blocks(phases.num_samples):
+        times = np.arange(rows.start, rows.stop) * phases.dt
+        reference = wrap_phase(entrainment.frequency * times - 0.5 * np.pi)
+        phasors.add(phases.phases[rows] - reference[:, None])
     per_node = np.abs(phasors.mean())
     return per_node, float(per_node.mean())
 
@@ -197,43 +193,22 @@ def tracking_error_norm(traj: Trajectory) -> np.ndarray:
     return np.sqrt(deviation.sum(axis=(1, 2)))
 
 
-def compute_sync_report(
-    traj: Trajectory,
-    entrainment: Entrainment = Entrainment(),
-    phases: PhaseSeries | None = None,
-) -> SyncReport:
+def compute_sync_report(traj: Trajectory, entrainment: Entrainment = Entrainment()) -> SyncReport:
     """Run the whole metric suite on one trajectory.
 
     Entrainment indices are filled in only when the signal is active, and
-    eta only when the trajectory records velocities; precomputed phases may
-    be supplied to avoid repeating the extraction.  The phase indices are
-    taken _SAMPLE_BLOCK samples at a time by the whole-series functions,
-    with the same result to the last bit.
+    eta only when the trajectory records velocities.
     """
+    # The phases come first: taken after eta's temporaries are freed, they
+    # lowered the traced peak but raised a run's peak RSS by about 0.4 MiB.
+    phases = phases_from_trajectory(traj)
     eta = tracking_error_norm(traj) if traj.has_velocities else None
-    ph = phases if phases is not None else phases_from_trajectory(traj)
     # Nothing below reads the trajectory, so the report keeps no reference to
     # it: a caller that keeps none either frees the states here.
     del traj
-    relative = PhasorMean()
-    drive = PhasorMean() if entrainment.active else None
-    rho_e_k = rho_e = None
-    excluded = 0
-    # the group index needs the mean phase of every sample, so the relative
-    # phases are kept until the last block is in
-    rel_series = np.empty_like(ph.phases)
-    for block in ph.blocks(_SAMPLE_BLOCK):
-        rel = agent_relative_phase(block, relative)
-        first = block.start - ph.start
-        rel_series[first : first + block.num_samples] = rel.series
-        excluded += rel.excluded_samples
-        if drive is not None:
-            rho_e_k, rho_e = entrainment_index(block, entrainment, drive)
-    mean_phase = rel.mean_phase
-    series = np.concatenate([
-        group_sync_series(rel_series[first : first + _SAMPLE_BLOCK], mean_phase)
-        for first in range(0, len(rel_series), _SAMPLE_BLOCK)
-    ])
+    rel = agent_relative_phase(phases)
+    series = group_sync_series(rel.series, rel.mean_phase)
+    rho_e_k, rho_e = entrainment_index(phases, entrainment) if entrainment.active else (None, None)
     mean, std = group_sync_summary(series)
     return SyncReport(
         rho_k=agent_sync_degree(rel.mean_phasor),
@@ -241,8 +216,8 @@ def compute_sync_report(
         rho_g_mean=mean,
         rho_g_std=std,
         eta_series=eta,
-        phases=ph,
+        phases=phases,
         rho_e_k=rho_e_k,
         rho_e=rho_e,
-        indeterminate_samples=excluded,
+        indeterminate_samples=rel.excluded_samples,
     )

@@ -10,6 +10,7 @@ four-quadrant angle of the complex series.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,11 +50,9 @@ def analytic_signal(samples) -> np.ndarray:
     spec = np.zeros(padded_len, dtype=complex)
     np.subtract(s, s.mean(), out=spec.real[:m])
     np.fft.fft(spec, out=spec)
-    gain = np.zeros(padded_len)
-    gain[0] = 1.0
-    gain[padded_len // 2] = 1.0
-    gain[1 : padded_len // 2] = 2.0
-    spec *= gain
+    half = padded_len // 2
+    spec[1:half] *= 2.0
+    spec[half + 1 :] = 0.0
     return np.fft.ifft(spec, out=spec)[:m]
 
 
@@ -73,19 +72,16 @@ def instantaneous_phase(samples) -> np.ndarray:
 class PhaseSeries:
     """Per-node instantaneous phases on a uniform time grid.
 
-    phases[j, k] is the phase of node k at time (start + j) * dt, in
-    (-pi, pi]; start is nonzero for a block of samples taken from a longer
-    series.
+    phases[j, k] is the phase of node k at time j * dt, in (-pi, pi].
     """
 
     dt: float
     phases: np.ndarray
-    start: int = 0
 
     def __post_init__(self):
         phases = np.asarray(self.phases, dtype=float)
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite")
         if phases.ndim != 2:
             raise ValueError("phases must have shape (num_samples, n)")
         if not np.all(np.isfinite(phases)):
@@ -101,18 +97,6 @@ class PhaseSeries:
     @property
     def num_samples(self) -> int:
         return self.phases.shape[0]
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.start, self.start + self.num_samples) * self.dt
-
-    def blocks(self, size: int):
-        """The series as consecutive PhaseSeries of at most size samples each, viewing its phases.
-
-        An empty series is one empty block.
-        """
-        for first in range(0, max(self.num_samples, 1), size):
-            yield PhaseSeries(self.dt, self.phases[first : first + size], self.start + first)
 
 
 def phases_from_trajectory(traj) -> PhaseSeries:

@@ -22,7 +22,7 @@ from .bounds import BoundsOptions  # noqa: F401
 from .config import ConfigError, RunConfig, SweepSpec, _sweep_grid, load_config, preset_config  # noqa: F401
 from .dynamics import DivergenceError, FullState, Trajectory, integrate, state_extrema, step_count
 from .metrics import SyncReport, compute_sync_report
-from .phase import DegenerateSignalError, PhaseSeries, phases_from_trajectory
+from .phase import DegenerateSignalError
 
 
 @dataclass(frozen=True, eq=False)
@@ -30,7 +30,6 @@ class RunResult:
     """Bundle produced by one run."""
 
     trajectory: Trajectory
-    phases: PhaseSeries
     report: SyncReport
     bounds_rows: tuple[tuple[str, float], ...]
     written: tuple[Path, ...] = ()
@@ -72,10 +71,9 @@ def _integrate(config: RunConfig, positions_only: bool = False) -> Trajectory:
 def simulate(config: RunConfig) -> RunResult:
     """Integrate, extract phases, and compute the full metric suite (no I/O)."""
     traj = _integrate(config)
-    phases = phases_from_trajectory(traj)
-    report = compute_sync_report(traj, entrainment=config.entrainment, phases=phases)
+    report = compute_sync_report(traj, entrainment=config.entrainment)
     rows = bounds_rows(config, traj)
-    return RunResult(trajectory=traj, phases=phases, report=report, bounds_rows=rows)
+    return RunResult(trajectory=traj, report=report, bounds_rows=rows)
 
 
 def bounds_rows(config: RunConfig, traj: Trajectory) -> tuple[tuple[str, float], ...]:
@@ -234,7 +232,7 @@ def write_outputs(result: RunResult, handles) -> RunResult:
     states = result.trajectory.states
     report = result.report
     _write_per_sample(trajectory, ("t", "node", "pos", "vel"), times, states[:, :, 0], states[:, :, 1])
-    _write_per_sample(phases, ("t", "node", "theta"), times, result.phases.phases)
+    _write_per_sample(phases, ("t", "node", "theta"), times, report.phases.phases)
     _write_per_sample(rho_g, ("t", "rho_g"), times, report.rho_g_series)
     _write_per_sample(eta, ("t", "eta"), times, report.eta_series)
     _write_csv(sync_report, ("metric", "node_or_pair", "value"), _report_rows(report))

@@ -173,6 +173,12 @@ class TestNonFiniteValues:
             with pytest.raises(ValueError):
                 make()
 
+    @pytest.mark.parametrize("dt", [0.0, -1.0, float("nan"), float("inf")])
+    def test_trajectory_rejects_a_step_that_is_not_positive_and_finite(self, dt):
+        # a nan step would also pass the uniform-times check, which compares false
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            Trajectory(dt=dt, times=np.arange(3) * 0.1, states=np.zeros((3, 2, 2)))
+
 
 class TestHkbField:
     def test_origin_is_equilibrium(self):
@@ -473,6 +479,19 @@ class TestInPlaceStep:
                     assert err.value.step == 1
 
 
+class TestUncoupledSeparability:
+    def test_each_node_runs_alone_bitwise(self):
+        # under NoCoupling the field is elementwise over the nodes, so a node's
+        # states do not depend on the nodes beside it, to the last bit
+        cfg = runner.preset_config("rocking6-nc")
+        whole = integrate(cfg.params, cfg.topology, cfg.protocol, cfg.initial_states, 20.0, cfg.dt).states
+        for k in range(6):
+            pair = [k, (k + 1) % 6]
+            alone = integrate([cfg.params[i] for i in pair], complete_graph(2), cfg.protocol,
+                              cfg.initial_states[pair], 20.0, cfg.dt).states
+            assert np.array_equal(alone, whole[:, pair]), k
+
+
 class TestBoundedness:
     def test_preset_runs_stay_in_band(self, rocking6_nc, rocking6_fsc, rocking6_psc, rocking6_hkb):
         for result in (rocking6_nc, rocking6_fsc, rocking6_psc, rocking6_hkb):
@@ -484,7 +503,7 @@ class TestPositionsRecording:
         pytest.param(state_extrema, id="state_extrema"),
         pytest.param(metrics.tracking_error_norm, id="tracking_error_norm"),
         # the check comes before the bundle is unpacked, so no file is needed
-        pytest.param(lambda traj: runner.write_outputs(runner.RunResult(traj, None, None, ()), [None] * 6),
+        pytest.param(lambda traj: runner.write_outputs(runner.RunResult(traj, None, ()), [None] * 6),
                      id="write_outputs"),
     ])
     def test_velocity_readers_reject_positions(self, reader):

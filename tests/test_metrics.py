@@ -294,13 +294,14 @@ class TestComputeSyncReport:
         plain = compute_sync_report(traj)
         assert plain.rho_e_k is None and plain.rho_e is None
 
-    def test_peak_memory_under_five_phase_arrays(self, rocking6_fsc):
+    def test_peak_memory_under_five_phase_arrays(self, rocking6_fsc, monkeypatch):
         # one complex phasor buffer at a time, and the small results before the
         # relative phases, keep the traced peak under five (samples, n) float arrays
-        traj, ph = rocking6_fsc.trajectory, rocking6_fsc.phases
+        traj, ph = rocking6_fsc.trajectory, rocking6_fsc.report.phases
+        monkeypatch.setattr(metrics, "phases_from_trajectory", lambda _: ph)
         tracemalloc.start()
         try:
-            compute_sync_report(traj, phases=ph)
+            compute_sync_report(traj)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -311,7 +312,7 @@ class TestComputeSyncReport:
     def test_trajectory_freed_before_the_phasor_buffers(self, monkeypatch):
         # a caller that keeps no reference to the trajectory hands its states
         # over, and the report lets them go once eta and the phases are taken,
-        # before the first block of relative phasors
+        # before the relative phasors
         node = OscillatorParams(0.46, 1.16, 0.58, 0.31)
         x0 = [[1.0, 0.0], [-1.0, 0.1]]
         alive = []
@@ -321,16 +322,16 @@ class TestComputeSyncReport:
             alive.append(weakref.ref(traj))
             return traj
 
-        freed_at_block = []
+        freed = []
         relative = metrics.agent_relative_phase
 
-        def recording(phases, phasors=None):
-            freed_at_block.append(alive[0]() is None)
-            return relative(phases, phasors)
+        def recording(phases):
+            freed.append(alive[0]() is None)
+            return relative(phases)
 
         monkeypatch.setattr(metrics, "agent_relative_phase", recording)
         compute_sync_report(unkept_trajectory())
-        assert freed_at_block and all(freed_at_block)
+        assert freed == [True]
 
     def test_positions_recording_reports_the_same_indices(self, monkeypatch):
         # a positions recording has no eta, and no report builds the dyadic matrix until it is read
@@ -359,8 +360,27 @@ def _with_antipodal_rows(phases, rows):
     return wrap_phase(phases)
 
 
+def reference_relative_phase(phases):
+    """Relative phases, mean phasor and excluded count in whole-array numpy: the bitwise oracle."""
+    order = np.exp(1j * phases).mean(axis=1)
+    indeterminate = np.abs(order) < metrics.INDETERMINATE_ORDER_TOL
+    rel = wrap_phase(phases - np.where(indeterminate, 0.0, np.angle(order))[:, None])
+    return rel, np.exp(1j * rel[~indeterminate]).mean(axis=0), int(indeterminate.sum())
+
+
+def reference_group_series(rel, mean_phase):
+    """The group index at every sample in whole-array numpy."""
+    return np.abs(np.exp(1j * (rel - mean_phase[None, :])).mean(axis=1))
+
+
+def reference_entrainment(phases, dt, entrainment):
+    """Per-node phase locking onto the drive in whole-array numpy."""
+    reference = wrap_phase(entrainment.frequency * (np.arange(len(phases)) * dt) - 0.5 * np.pi)
+    return np.abs(np.exp(1j * (phases - reference[:, None])).mean(axis=0))
+
+
 class TestSampleBlocks:
-    """compute_sync_report's block-by-block indices against the whole-series functions, bit for bit."""
+    """The metrics, taken _SAMPLE_BLOCK samples at a time, against whole-array numpy, bit for bit."""
 
     @pytest.mark.parametrize("samples", [15, 16, 17])  # one below, at and one above two blocks of 8
     @pytest.mark.parametrize("indeterminate", [
@@ -374,32 +394,40 @@ class TestSampleBlocks:
         monkeypatch.setattr(metrics, "_SAMPLE_BLOCK", 8)
         rng = np.random.default_rng(samples)
         ps = PhaseSeries(dt=0.05, phases=_with_antipodal_rows(rng.uniform(-np.pi, np.pi, (samples, 4)), indeterminate))
-        positions = Trajectory(dt=0.05, times=np.arange(samples) * 0.05, states=np.zeros((samples, 4, 1)))
-        report = compute_sync_report(positions, entrainment=drive, phases=ps)
+        rel_ref, phasor_ref, excluded_ref = reference_relative_phase(ps.phases)
+        mean_phase_ref = wrap_phase(np.angle(phasor_ref))
+        series_ref = reference_group_series(rel_ref, mean_phase_ref)
+        assert excluded_ref == len(indeterminate)
 
         rel = agent_relative_phase(ps)
-        assert rel.excluded_samples == report.indeterminate_samples == len(indeterminate)
-        # the whole-series phasor mean is numpy's own mean over the determinate samples
-        determinate = np.setdiff1d(np.arange(samples), indeterminate)
-        assert np.array_equal(rel.mean_phasor, np.exp(1j * rel.series[determinate]).mean(axis=0))
-        series = group_sync_series(rel.series, rel.mean_phase)
-        assert np.array_equal(report.rho_g_series, series)
-        assert (report.rho_g_mean, report.rho_g_std) == group_sync_summary(series)
-        assert np.array_equal(report.rho_k, agent_sync_degree(rel.mean_phasor))
+        assert np.array_equal(rel.series, rel_ref) and np.array_equal(rel.mean_phasor, phasor_ref)
+        assert np.array_equal(rel.mean_phase, mean_phase_ref) and rel.excluded_samples == excluded_ref
+        assert np.array_equal(group_sync_series(rel.series, rel.mean_phase), series_ref)
+
+        monkeypatch.setattr(metrics, "phases_from_trajectory", lambda _: ps)
+        positions = Trajectory(dt=0.05, times=np.arange(samples) * 0.05, states=np.zeros((samples, 4, 1)))
+        report = compute_sync_report(positions, entrainment=drive)
+        assert report.phases is ps and report.indeterminate_samples == excluded_ref
+        assert np.array_equal(report.rho_k, agent_sync_degree(phasor_ref))
+        assert np.array_equal(report.rho_g_series, series_ref)
+        assert (report.rho_g_mean, report.rho_g_std) == group_sync_summary(series_ref)
         if drive.active:
+            per_node_ref = reference_entrainment(ps.phases, ps.dt, drive)
             per_node, overall = entrainment_index(ps, drive)
-            reference = wrap_phase(drive.frequency * np.arange(samples) * 0.05 - 0.5 * np.pi)
-            assert np.array_equal(per_node, np.abs(np.exp(1j * (ps.phases - reference[:, None])).mean(axis=0)))
-            assert np.array_equal(report.rho_e_k, per_node) and report.rho_e == overall
+            assert np.array_equal(per_node, per_node_ref) and overall == float(per_node_ref.mean())
+            assert np.array_equal(report.rho_e_k, per_node_ref) and report.rho_e == overall
         else:
             assert report.rho_e_k is None and report.rho_e is None
 
     def test_indeterminate_at_every_sample_raises_after_the_last_block(self, monkeypatch):
         monkeypatch.setattr(metrics, "_SAMPLE_BLOCK", 8)
         ps = PhaseSeries(dt=0.05, phases=_with_antipodal_rows(np.zeros((17, 4)), range(17)))
+        with pytest.raises(DegenerateSignalError, match="every sample"):
+            agent_relative_phase(ps)
+        monkeypatch.setattr(metrics, "phases_from_trajectory", lambda _: ps)
         positions = Trajectory(dt=0.05, times=np.arange(17) * 0.05, states=np.zeros((17, 4, 1)))
         with pytest.raises(DegenerateSignalError, match="every sample"):
-            compute_sync_report(positions, phases=ps)
+            compute_sync_report(positions)
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_running_phasor_mean_is_numpy_mean(self, n):

@@ -125,3 +125,8 @@ class TestPhaseSeries:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             PhaseSeries(dt=0.1, phases=np.full((4, 1), 4.0))
+
+    @pytest.mark.parametrize("dt", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_a_step_that_is_not_positive_and_finite(self, dt):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            PhaseSeries(dt=dt, phases=np.zeros((4, 2)))

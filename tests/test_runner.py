@@ -585,10 +585,10 @@ class TestSweep:
 
     @pytest.mark.skipif(sys.version_info < (3, 11), reason="before CPython 3.11 the caller's stack holds "
                         "a call's arguments until the call returns")
-    def test_cell_peak_under_three_and_a_half_phase_arrays(self):
+    def test_cell_peak_under_three_and_a_quarter_phase_arrays(self):
         # the seed-3 benchmark cell records positions only and hands them straight
         # to the report, which frees them once the phases are taken and takes the
-        # indices in sample blocks: 3.1 phase arrays at the peak, during phase
+        # indices in sample blocks: 2.9 phase arrays at the peak, during phase
         # extraction, against 5.5 with full states and whole-series phasor buffers
         cell = dataclasses.replace(
             runner.preset_config("rocking6-fsc"),
@@ -602,7 +602,7 @@ class TestSweep:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3.5 * phases_bytes
+        assert peak < 3.25 * phases_bytes
 
     def test_unknown_sweep_field(self):
         # only dataclass fields are sweepable, not other attributes of the protocol;
