@@ -2,19 +2,20 @@
 
 Submodules:
 
-* graph    -- weighted simple undirected graphs, Laplacians, spectra
+* graph    -- weighted simple undirected graphs, Laplacians, spectra, lambda2 of D^-1 L
 * dynamics -- node fields, coupling protocols, entrainment, RK4 integration
 * phase    -- analytic-signal instantaneous phase extraction
 * metrics  -- synchronization indices and the tracking-error norm
-* bounds   -- contraction and Lyapunov coupling-strength certificates
+* bounds   -- contraction and Lyapunov coupling-strength certificates, bounds.csv's rows
 * config   -- presets, config files, the run contract, sweep cells, CLI overrides
-* runner   -- execution, sweeps, CSV emission
+* runner   -- execution, sweeps, CSV emission (re-exports bounds_rows)
 """
 
 from .bounds import (
     BoundsOptions,
     ContractionWindow,
     QuadCertificate,
+    bounds_rows,
     contraction_window,
     m_bar,
     quad_cbar_direct,
@@ -43,7 +44,6 @@ from .graph import (
     complete_graph,
     laplacian,
     neighbor_lambda2,
-    normalized_neighbor_laplacian,
     random_weighted_graph,
     spectrum,
 )
@@ -70,7 +70,6 @@ from .phase import (
 from .runner import (
     RunResult,
     SweepCell,
-    bounds_rows,
     evaluate_bounds,
     run,
     run_sweep,

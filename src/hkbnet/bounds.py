@@ -15,6 +15,8 @@ Both are sufficient conditions only; simulations routinely synchronize well
 below them, so infeasible or conservative outcomes are reported as values
 (an empty window, an epsilon of None), never raised as errors: `hkbnet
 bounds` exits 0 on every config RunConfig accepts, unless it diverges.
+bounds_rows evaluates both for one run, at its pilot trajectory's extrema,
+as the rows of bounds.csv.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import OscillatorParams
+from .dynamics import FullState, OscillatorParams, Trajectory, state_extrema
 from .graph import ZERO_EIGENVALUE_TOL, Topology, neighbor_lambda2
 
 GAMMA_RTOL = 1e-9
@@ -235,3 +237,47 @@ def quad_certificate(
         return QuadCertificate(c_bar=c_bar, epsilon=None)
     epsilon = quad_epsilon_direct(c, lambda2, gamma, p, options.w11, shape, m_bound, len(params), options.w22)
     return QuadCertificate(c_bar=c_bar, epsilon=epsilon)
+
+
+def bounds_rows(config, traj: Trajectory) -> tuple[tuple[str, float], ...]:
+    """Evaluate both certificates for the RunConfig config as (quantity, value) rows.
+
+    Infeasible or inapplicable outcomes become 0/1 flag rows, never
+    exceptions: the certificates are sufficient conditions and the bundled
+    scenarios intentionally operate below them.  State bounds default to the
+    extrema of the pilot trajectory traj, m_bar is taken at those extrema,
+    and epsilon needs a FullState coupling strength.  (config is not
+    annotated: hkbnet.config imports this module.)
+    """
+    extrema = state_extrema(traj)
+    z1 = config.bounds.z1_max if config.bounds.z1_max is not None else extrema.pos_max
+    z2 = config.bounds.z2_max if config.bounds.z2_max is not None else extrema.vel_max
+    remainder = m_bar(config.params, extrema.pos_max, extrema.vel_max)
+    rows: list[tuple[str, float]] = [
+        ("p_M", extrema.pos_max),
+        ("v_M", extrema.vel_max),
+        ("m_bar", remainder),
+    ]
+
+    window = contraction_window(config.params, z1, z2)
+    rows += [
+        ("c_lo", window.c_lo),
+        ("c_hi", window.c_hi),
+        ("contraction_feasible", float(window.feasible)),
+        ("contraction_assumes_complete_unweighted", 1.0),
+        ("topology_is_complete_unweighted", float(is_complete_unweighted(config.topology))),
+    ]
+
+    lam2, failures = quad_hypotheses(config.topology, config.params)
+    if lam2 is not None:
+        rows.append(("lambda2", lam2))
+    quad_ok = lam2 is not None and not failures
+    rows.append(("quad_applicable", float(quad_ok)))
+    if quad_ok:
+        c = config.protocol.c if isinstance(config.protocol, FullState) else None
+        cert = quad_certificate(lam2, config.params, config.bounds, c, remainder)
+        rows.append(("c_bar", cert.c_bar))
+        rows.append(("epsilon_applicable", float(cert.epsilon is not None)))
+        if cert.epsilon is not None:
+            rows.append(("epsilon", cert.epsilon))
+    return tuple(rows)

@@ -122,9 +122,10 @@ class FullState(_Protocol):
         # field -= (c / counts)[:, None] * (lap @ x)
         scale = (self.c / counts)[:, None]
         mismatch = np.empty((lap.shape[0], 2))
+        dot = lap.dot  # the BLAS product of np.matmul, without its ufunc dispatch
 
         def couple(field, x):
-            np.matmul(lap, x[0], mismatch)
+            dot(x[0], mismatch)
             np.multiply(scale, mismatch, mismatch)
             np.subtract(field[0], mismatch, field[0])
 
@@ -143,12 +144,13 @@ class PartialState(_Protocol):
         c1, c2 = np.array(self.c1), np.array(self.c2)  # 0-d arrays, as in integrate
         from_pos = np.empty(lap.shape[0])
         from_vel = np.empty(lap.shape[0])
+        dot = lap.dot  # as in FullState
 
         def couple(field, x):
             _, pos, vel = x
-            np.matmul(lap, pos, from_pos)
+            dot(pos, from_pos)
             np.multiply(c1, from_pos, from_pos)
-            np.matmul(lap, vel, from_vel)
+            dot(vel, from_vel)
             np.multiply(c2, from_vel, from_vel)
             np.add(from_pos, from_vel, from_pos)
             np.divide(from_pos, counts, from_pos)

@@ -1,8 +1,6 @@
 """Simple undirected weighted graphs and the spectra used by the coupling bounds.
 
-Eigenvalues come from numpy's symmetric solver.  The neighbor-normalized
-Laplacian is asymmetric; neighbor_lambda2 obtains its spectrum through a
-diagonal similarity transform that restores symmetry.
+Eigenvalues come from numpy's symmetric solver.
 """
 
 from __future__ import annotations
@@ -137,20 +135,6 @@ def laplacian(topology: Topology) -> np.ndarray:
     return np.diag(w.sum(axis=1)) - w
 
 
-def normalized_neighbor_laplacian(topology: Topology) -> np.ndarray:
-    """Laplacian with each row divided by that node's neighbor count.
-
-    The normalizer is the number of neighbors, not the weighted degree, so
-    the result is asymmetric for irregular graphs.  Raises ValueError when
-    some node has no neighbors.
-    """
-    counts = topology.neighbor_counts
-    if np.any(counts == 0):
-        isolated = int(np.flatnonzero(counts == 0)[0])
-        raise ValueError(f"node {isolated} has no neighbors")
-    return laplacian(topology) / counts[:, None]
-
-
 def spectrum(matrix: np.ndarray) -> SpectrumResult:
     """All eigenvalues of a real symmetric matrix (to within 1e-12 of its largest entry).
 
@@ -169,11 +153,16 @@ def spectrum(matrix: np.ndarray) -> SpectrumResult:
 
 
 def neighbor_lambda2(topology: Topology) -> float:
-    """lambda2 of the neighbor-normalized Laplacian, the spectral gap both certificates use.
+    """lambda2 of D^-1 L, the neighbor-normalized Laplacian that both certificates use.
 
-    With D the neighbor counts, D^(1/2) (D^-1 L) D^(-1/2) is symmetric up to
-    rounding and similar to D^-1 L, so it has the same eigenvalues.
+    D holds the neighbor counts, not the weighted degrees, so D^-1 L is
+    asymmetric on an irregular graph.  It is similar to D^-1/2 L D^-1/2,
+    which is exactly symmetric and has the same eigenvalues.  Raises
+    ValueError when some node has no neighbors.
     """
-    root = np.sqrt(topology.neighbor_counts)
-    return spectrum(root[:, None] * normalized_neighbor_laplacian(topology) / root[None, :]).lambda2
-
+    counts = topology.neighbor_counts
+    if np.any(counts == 0):
+        isolated = int(np.flatnonzero(counts == 0)[0])
+        raise ValueError(f"node {isolated} has no neighbors")
+    root = np.sqrt(counts)
+    return spectrum(laplacian(topology) / np.outer(root, root)).lambda2

@@ -84,6 +84,8 @@ class PhaseSeries:
             raise ValueError("dt must be positive and finite")
         if phases.ndim != 2:
             raise ValueError("phases must have shape (num_samples, n)")
+        if phases.shape[0] < 1:
+            raise ValueError("phases must hold at least one sample")
         if not np.all(np.isfinite(phases)):
             raise ValueError("phases must be finite")
         if phases.size and (phases.min() <= -np.pi or phases.max() > np.pi):

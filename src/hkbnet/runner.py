@@ -1,8 +1,9 @@
 """Execution of a RunConfig: runs, sweeps, the bounds verb and their CSVs.
 
-hkbnet.config builds and checks every RunConfig; this module runs one and
-writes what it produced.  The README's "Outputs" section is the reference
-for the CSVs that run, sweep and bounds write.
+hkbnet.config builds and checks every RunConfig and hkbnet.bounds turns a
+pilot run into bounds.csv's rows; this module runs one and writes what it
+produced.  The README's "Outputs" section is the reference for the CSVs
+that run, sweep and bounds write.
 """
 
 from __future__ import annotations
@@ -15,12 +16,11 @@ from typing import Sequence
 
 import numpy as np
 
-from . import bounds as bounds_mod
-# BoundsOptions, SweepSpec, load_config and preset_config are re-exported: the
-# acceptance tests and the benchmark look them up here.
-from .bounds import BoundsOptions  # noqa: F401
+# BoundsOptions, bounds_rows, SweepSpec, load_config and preset_config are
+# re-exported: the acceptance tests and the benchmark look them up here.
+from .bounds import BoundsOptions, bounds_rows  # noqa: F401
 from .config import ConfigError, RunConfig, SweepSpec, _sweep_grid, load_config, preset_config  # noqa: F401
-from .dynamics import DivergenceError, FullState, Trajectory, integrate, state_extrema, step_count
+from .dynamics import DivergenceError, Trajectory, integrate, step_count
 from .metrics import SyncReport, compute_sync_report
 from .phase import DegenerateSignalError
 
@@ -74,48 +74,6 @@ def simulate(config: RunConfig) -> RunResult:
     report = compute_sync_report(traj, entrainment=config.entrainment)
     rows = bounds_rows(config, traj)
     return RunResult(trajectory=traj, report=report, bounds_rows=rows)
-
-
-def bounds_rows(config: RunConfig, traj: Trajectory) -> tuple[tuple[str, float], ...]:
-    """Evaluate both analytic certificates as (quantity, value) rows.
-
-    Infeasible or inapplicable outcomes become 0/1 flag rows, never
-    exceptions: the certificates are sufficient conditions and the bundled
-    scenarios intentionally operate below them.  State bounds default to the
-    extrema of the pilot trajectory traj.
-    """
-    extrema = state_extrema(traj)
-    z1 = config.bounds.z1_max if config.bounds.z1_max is not None else extrema.pos_max
-    z2 = config.bounds.z2_max if config.bounds.z2_max is not None else extrema.vel_max
-    remainder = bounds_mod.m_bar(config.params, extrema.pos_max, extrema.vel_max)
-    rows: list[tuple[str, float]] = [
-        ("p_M", extrema.pos_max),
-        ("v_M", extrema.vel_max),
-        ("m_bar", remainder),
-    ]
-
-    window = bounds_mod.contraction_window(config.params, z1, z2)
-    rows += [
-        ("c_lo", window.c_lo),
-        ("c_hi", window.c_hi),
-        ("contraction_feasible", float(window.feasible)),
-        ("contraction_assumes_complete_unweighted", 1.0),
-        ("topology_is_complete_unweighted", float(bounds_mod.is_complete_unweighted(config.topology))),
-    ]
-
-    lam2, failures = bounds_mod.quad_hypotheses(config.topology, config.params)
-    if lam2 is not None:
-        rows.append(("lambda2", lam2))
-    quad_ok = lam2 is not None and not failures
-    rows.append(("quad_applicable", float(quad_ok)))
-    if quad_ok:
-        c = config.protocol.c if isinstance(config.protocol, FullState) else None
-        cert = bounds_mod.quad_certificate(lam2, config.params, config.bounds, c, remainder)
-        rows.append(("c_bar", cert.c_bar))
-        rows.append(("epsilon_applicable", float(cert.epsilon is not None)))
-        if cert.epsilon is not None:
-            rows.append(("epsilon", cert.epsilon))
-    return tuple(rows)
 
 
 def nodes_fault(exc: DegenerateSignalError) -> str:

@@ -492,6 +492,35 @@ class TestUncoupledSeparability:
             assert np.array_equal(alone, whole[:, pair]), k
 
 
+class TestRelabelling:
+    @pytest.mark.parametrize("protocol", ALL_PROTOCOLS, ids=lambda p: type(p).__name__)
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_permuted_network_gives_permuted_states_and_metrics(self, n, protocol):
+        # the model names no node: relabelling the nodes (weights, parameters and
+        # initial states) relabels the states and the per-node metrics, and leaves
+        # the group metrics alone, to within rounding
+        rng = np.random.default_rng(n)
+        top = random_weighted_graph(n, 0.6, 0.2, 2.0, seed=n)
+        params = [OscillatorParams(*row) for row in rng.uniform([0.2, 0.3, 0.5, 0.2], [0.8, 1.8, 1.9, 0.9], (n, 4))]
+        x0 = rng.normal(0.0, 1.0, (n, 2))
+        perm = rng.permutation(n)
+        assert not np.array_equal(perm, np.arange(n)), "the seeded draw is the identity; the test is void"
+        drive = Entrainment(amplitude=0.2, frequency=0.4, enabled=True)
+
+        def simulate(weights, params, x0):
+            traj = integrate(params, Topology(weights), protocol, x0, 20.0, 0.01, entrainment=drive)
+            return traj.states, metrics.compute_sync_report(traj, entrainment=drive)
+
+        states, report = simulate(top.weights, params, x0)
+        states_p, report_p = simulate(top.weights[np.ix_(perm, perm)], [params[i] for i in perm], x0[perm])
+        assert np.abs(states_p - states[:, perm]).max() < 1e-12
+        assert np.abs(report_p.rho_k - report.rho_k[perm]).max() < 1e-12
+        assert np.abs(report_p.dyadic - report.dyadic[np.ix_(perm, perm)]).max() < 1e-12
+        assert np.abs(report_p.rho_e_k - report.rho_e_k[perm]).max() < 1e-12
+        assert abs(report_p.rho_g_mean - report.rho_g_mean) < 1e-12
+        assert abs(report_p.rho_e - report.rho_e) < 1e-12
+
+
 class TestBoundedness:
     def test_preset_runs_stay_in_band(self, rocking6_nc, rocking6_fsc, rocking6_psc, rocking6_hkb):
         for result in (rocking6_nc, rocking6_fsc, rocking6_psc, rocking6_hkb):

@@ -1,7 +1,8 @@
 """Unit tests for graph construction, Laplacians, and the spectral helpers.
 
-A dense asymmetric eigensolve (numpy.linalg.eigvals) is the brute-force
-oracle for the similarity transform inside neighbor_lambda2.
+A dense asymmetric eigensolve (numpy.linalg.eigvals) of D^-1 L, built here
+row by row as normalized_neighbor_laplacian, is the brute-force oracle for
+the symmetric D^-1/2 L D^-1/2 inside neighbor_lambda2.
 """
 
 import numpy as np
@@ -10,6 +11,11 @@ import pytest
 from hkbnet import graph
 from hkbnet.bounds import BoundsOptions, quad_certificate
 from hkbnet.presets import VALIDATION5_PARAMS, VALIDATION5_WEIGHTS
+
+
+def normalized_neighbor_laplacian(topology):
+    """D^-1 L: the Laplacian with each row divided by that node's neighbor count."""
+    return graph.laplacian(topology) / topology.neighbor_counts[:, None]
 
 
 def random_topology(rng, n, edge_prob=0.7):
@@ -129,15 +135,14 @@ class TestLaplacian:
 class TestNormalizedNeighborLaplacian:
     def test_complete6_is_laplacian_over_five(self):
         top = graph.complete_graph(6, 1.0)
-        ln = graph.normalized_neighbor_laplacian(top)
+        ln = normalized_neighbor_laplacian(top)
         assert np.allclose(ln, graph.laplacian(top) / 5.0, atol=1e-15)
-        result = graph.spectrum(ln)
-        assert abs(result.lambda2 - 1.2) < 1e-10
+        assert abs(graph.neighbor_lambda2(top) - 1.2) < 1e-10
 
     def test_two_node_unit_graph(self):
-        ln = graph.normalized_neighbor_laplacian(graph.complete_graph(2, 1.0))
-        assert np.array_equal(ln, np.array([[1.0, -1.0], [-1.0, 1.0]]))
-        assert abs(graph.spectrum(ln).lambda2 - 2.0) < 1e-12
+        top = graph.complete_graph(2, 1.0)
+        assert np.array_equal(normalized_neighbor_laplacian(top), np.array([[1.0, -1.0], [-1.0, 1.0]]))
+        assert abs(graph.neighbor_lambda2(top) - 2.0) < 1e-12
 
     def test_fixture_lambda2(self):
         assert abs(graph.neighbor_lambda2(graph.Topology(VALIDATION5_WEIGHTS)) - 0.4112) < 1e-6
@@ -145,14 +150,17 @@ class TestNormalizedNeighborLaplacian:
     def test_isolated_node_raises(self):
         top = graph.Topology(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
         with pytest.raises(ValueError, match="node 2 has no neighbors"):
-            graph.normalized_neighbor_laplacian(top)
+            graph.neighbor_lambda2(top)
 
     def test_normalizer_is_count_not_degree(self):
         # node 0 has one neighbor of weight 4: diagonal entry must be 4/1, not 1
         w = np.array([[0.0, 4.0, 0.0], [4.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
-        ln = graph.normalized_neighbor_laplacian(graph.Topology(w))
+        ln = normalized_neighbor_laplacian(graph.Topology(w))
         assert ln[0, 0] == 4.0
         assert ln[1, 1] == 2.5
+        # its nonzero eigenvalues solve x^2 - 7.5 x + 8 = 0; over the weighted
+        # degrees they would solve x^2 - 3 x + 2 = 0, and lambda2 would be 1
+        assert abs(graph.neighbor_lambda2(graph.Topology(w)) - (7.5 - np.sqrt(24.25)) / 2.0) < 1e-12
 
 
 class TestSpectrum:
@@ -172,14 +180,14 @@ class TestSpectrum:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_similarity_hint_matches_brute_force(self, seed):
-        # lambda2 of the asymmetric neighbor-normalized Laplacian via the
-        # diagonal similarity must equal a direct dense eigensolve.
+        # lambda2 of the symmetric D^-1/2 L D^-1/2 must equal a direct dense
+        # eigensolve of the asymmetric D^-1 L.
         rng = np.random.default_rng(200 + seed)
         n = int(rng.integers(3, 7))
         top = random_topology(rng, n, edge_prob=0.9)
         if np.any(top.neighbor_counts == 0):
             pytest.skip("drew an isolated node")
-        ref = np.sort(np.linalg.eigvals(graph.normalized_neighbor_laplacian(top)).real)
+        ref = np.sort(np.linalg.eigvals(normalized_neighbor_laplacian(top)).real)
         assert abs(graph.neighbor_lambda2(top) - ref[1]) < 1e-8
 
 
@@ -225,7 +233,7 @@ class TestKronLambda2:
         top = random_topology(rng, n, edge_prob=0.95)
         if not top.is_connected():
             pytest.skip("drew a disconnected graph")
-        ln = graph.normalized_neighbor_laplacian(top)
+        ln = normalized_neighbor_laplacian(top)
         p = rng.uniform(0.1, 3.0, size=2)
         shape = rng.uniform(0.1, 3.0, size=2)
         full = np.kron(ln, np.diag(p * shape))

@@ -8,7 +8,7 @@ import builtins
 import re
 from pathlib import Path
 
-from hkbnet import config, runner
+from hkbnet import bounds, config, runner
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = REPO_ROOT / "src" / "hkbnet"
@@ -107,14 +107,21 @@ def test_import_graph_has_no_cycle_and_config_stays_below_execution():
         visit(name, [])
 
 
-def test_runner_leaves_the_certificate_hypotheses_to_bounds():
+def test_runner_leaves_the_certificates_to_bounds():
+    # hkbnet.bounds alone evaluates the certificates: runner re-exports bounds_rows
+    # and BoundsOptions, and names nothing else of bounds
+    defined = {node.name for node in ast.parse((PACKAGE / "bounds.py").read_text(encoding="utf-8")).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    tree = ast.parse((PACKAGE / "runner.py").read_text(encoding="utf-8"))
+    names = _names([tree]) | {node.name for node in ast.walk(tree) if isinstance(node, ast.alias)}
+    assert sorted(names & defined) == ["BoundsOptions", "bounds_rows"]
+    assert runner.bounds_rows is bounds.bounds_rows
     # bounds.quad_hypotheses alone decides where the Lyapunov certificate applies,
-    # for runner's bounds.csv and for config's validate diagnostics
-    for module in ("runner.py", "config.py"):
-        tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
-        names = _names([tree]) | {node.name for node in ast.walk(tree) if isinstance(node, ast.alias)}
-        assert "quad_hypotheses" in names, f"quad_hypotheses not found in {module}; the scan is broken"
-        assert sorted(names & {"common_gamma", "has_spectral_gap", "neighbor_lambda2"}) == [], module
+    # for bounds.csv and for config's validate diagnostics
+    tree = ast.parse((PACKAGE / "config.py").read_text(encoding="utf-8"))
+    names = _names([tree])
+    assert "quad_hypotheses" in names, "quad_hypotheses not found in config.py; the scan is broken"
+    assert sorted(names & {"common_gamma", "has_spectral_gap", "neighbor_lambda2"}) == []
 
 
 def test_runner_leaves_the_config_to_config():

@@ -126,6 +126,11 @@ class TestPhaseSeries:
         with pytest.raises(ValueError):
             PhaseSeries(dt=0.1, phases=np.full((4, 1), 4.0))
 
+    def test_rejects_zero_samples(self):
+        # the metrics average over samples; with none they failed with a TypeError
+        with pytest.raises(ValueError, match="at least one sample"):
+            PhaseSeries(dt=0.01, phases=np.zeros((0, 2)))
+
     @pytest.mark.parametrize("dt", [0.0, -1.0, float("nan"), float("inf")])
     def test_rejects_a_step_that_is_not_positive_and_finite(self, dt):
         with pytest.raises(ValueError, match="dt must be positive and finite"):
