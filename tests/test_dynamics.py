@@ -2,12 +2,13 @@
 
 import dataclasses
 import functools
+import math
 import warnings
 
 import numpy as np
 import pytest
 
-from hkbnet import dynamics, metrics, runner
+from hkbnet import config, dynamics, metrics, runner
 from hkbnet.dynamics import (
     STATE_MAGNITUDE_LIMIT,
     DivergenceError,
@@ -102,10 +103,50 @@ def coupling_row(i, states, topology, protocol):
     return out[i]
 
 
-def reference_integrate(params, topology, protocol, x0, duration, dt, entrainment=Entrainment()):
+def oracle_field(params, topology, protocol, entrainment):
+    """Reference oracle: rhs(t, x), the network field as allocating numpy expressions in the documented order.
+
+    The node part, then the protocol's coupling as its bind comment states,
+    with the Laplacian products taken by laplacian(topology).dot on the
+    column views the package passes, then the drive when it is active.
+    """
+    alpha, beta, gamma, omega = (np.array([getattr(p, name) for p in params])
+                                 for name in ("alpha", "beta", "gamma", "omega"))
+    lap = laplacian(topology)
+    counts = topology.neighbor_counts.astype(float)
+
+    def rhs(t, x):
+        pos, vel = x[:, 0], x[:, 1]
+        acc = -((alpha * pos) * pos + (beta * vel) * vel - gamma) * vel - omega**2 * pos
+        out = np.stack([vel, acc], axis=1)
+        if isinstance(protocol, FullState):
+            out = out - (protocol.c / counts)[:, None] * lap.dot(x)
+        elif isinstance(protocol, PartialState):
+            out[:, 1] = out[:, 1] - (protocol.c1 * lap.dot(pos) + protocol.c2 * lap.dot(vel)) / counts
+        elif isinstance(protocol, HkbCoupling):
+            dpos, dvel = pos[:, None] - pos, vel[:, None] - vel
+            total = (topology.weights * (protocol.a + protocol.b * dpos * dpos) * dvel).sum(axis=1)
+            out[:, 1] = out[:, 1] + (protocol.c / counts) * total
+        if entrainment.active:
+            out[:, 1] = out[:, 1] + entrainment.amplitude * math.sin(entrainment.frequency * t)
+        return out
+
+    return rhs
+
+
+def same_bits(a, b):
+    """Whether a and b hold the same float64 bit patterns, any NaN matching any NaN.
+
+    np.array_equal takes -0.0 == 0.0, so it cannot see a flipped signed zero.
+    """
+    return bool(np.all((a.view(np.uint64) == b.view(np.uint64)) | (np.isnan(a) & np.isnan(b))))
+
+
+def reference_integrate(params, topology, protocol, x0, duration, dt, entrainment=Entrainment(),
+                        make_rhs=fresh_rhs):
     """Reference oracle: RK4 on fresh arrays, a fresh field per stage and a check every step."""
     steps = step_count(duration, dt)
-    rhs = fresh_rhs(params, topology, protocol, entrainment)
+    rhs = make_rhs(params, topology, protocol, entrainment)
     x = np.array(x0, dtype=float)
     states = np.empty((steps + 1, topology.n, 2))
     states[0] = x
@@ -122,6 +163,11 @@ def reference_integrate(params, topology, protocol, x0, duration, dt, entrainmen
             raise DivergenceError(f"state left trusted region at step {k}", step=k)
         states[k] = x
     return states
+
+
+def oracle_integrate(params, topology, protocol, x0, duration, dt, entrainment=Entrainment()):
+    """Reference oracle: RK4 on fresh arrays over oracle_field, so no package code computes the field."""
+    return reference_integrate(params, topology, protocol, x0, duration, dt, entrainment, make_rhs=oracle_field)
 
 
 def divergence_step(integrator, gamma):
@@ -477,6 +523,54 @@ class TestInPlaceStep:
                         integrate([huge, huge], complete_graph(2), protocol, [[1e3, 1e3], [1e3, -1e3]], 10.0, 0.01,
                                   positions_only=positions_only)
                     assert err.value.step == 1
+
+
+class TestFieldBitPatterns:
+    # reference_integrate steps the package's own field, so TestInPlaceStep
+    # cannot see a change in the field's arithmetic; this compares it with an
+    # independent oracle, bit for bit, signed zeros and overflow included
+    @pytest.mark.parametrize("protocol", ALL_PROTOCOLS, ids=lambda p: type(p).__name__)
+    @pytest.mark.parametrize("drive", [pytest.param(Entrainment(), id="undriven"),
+                                       pytest.param(Entrainment(amplitude=0.3, frequency=0.5, enabled=True),
+                                                    id="driven")])
+    def test_field_matches_oracle_bitwise(self, protocol, drive):
+        rng = np.random.default_rng(26)
+        special = np.array([0.0, -0.0, 5e-324, -5e-324, 1.0, 1e300])
+        states = [rng.normal(size=(6, 2)) for _ in range(5)] + [rng.choice(special, (6, 2)) for _ in range(20)]
+        seen = {"negative zero": 0, "inf": 0, "nan": 0}
+        with np.errstate(all="ignore"):
+            for top in (complete_graph(6), irregular_graph()):
+                for gamma in (0.0, -0.0, 0.7):
+                    params = [dataclasses.replace(p, gamma=gamma) for p in ROCKING6_PARAMS]
+                    mine = fresh_rhs(params, top, protocol, drive)
+                    oracle = oracle_field(params, top, protocol, drive)
+                    for t in (0.0, 1.7):
+                        for x in states:
+                            got = mine(t, x)
+                            assert same_bits(got, oracle(t, x)), (top.weights, gamma, t, x)
+                            seen["negative zero"] += np.any((got == 0.0) & np.signbit(got))
+                            seen["inf"] += np.any(np.isinf(got))
+                            seen["nan"] += np.any(np.isnan(got))
+        assert min(seen.values()) > 0, f"a special value never reached the output; the cases are void: {seen}"
+
+
+class TestOracleTrajectories:
+    # bitwise state claims hold per BLAS kernel, so these compare two runs in
+    # one process and pin no state hash
+    @pytest.mark.parametrize("name", config.PRESET_NAMES)
+    def test_preset_states_match_oracle_bitwise(self, name):
+        cfg = runner.preset_config(name)
+        args = (cfg.params, cfg.topology, cfg.protocol, cfg.initial_states, 20.0, cfg.dt, cfg.entrainment)
+        assert same_bits(integrate(*args).states, oracle_integrate(*args))
+
+    def test_benchmark_sweep_cells_match_oracle_bitwise(self, entrainment_sweep_path):
+        cells = config._sweep_grid(config.load_config(entrainment_sweep_path))
+        assert len(cells) == 4
+        for _, _, cell in cells:
+            assert cell.entrainment.active
+            args = (cell.params, cell.topology, cell.protocol, cell.initial_states, 20.0, cell.dt, cell.entrainment)
+            positions = integrate(*args, positions_only=True).states
+            assert same_bits(positions[:, :, 0], oracle_integrate(*args)[:, :, 0])
 
 
 class TestUncoupledSeparability:

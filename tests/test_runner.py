@@ -3,7 +3,6 @@
 import copy
 import dataclasses
 import hashlib
-import importlib.util
 import io
 import json
 import re
@@ -75,19 +74,6 @@ dt = 0.01
 [output]
 directory = out
 """
-
-
-@pytest.fixture
-def entrainment_sweep_path(tmp_path, monkeypatch):
-    """The benchmark's seed-3 sweep_entrain config: rocking6-fsc with entrainment on
-    (frequency 0.169, amplitude 0.196) and a 2 x 2 frequency x amplitude sweep."""
-    spec = importlib.util.spec_from_file_location("workloads", REPO_ROOT / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look themselves up there
-    spec.loader.exec_module(workloads)
-    path = tmp_path / "entrain.cfg"
-    path.write_text(workloads.entrainment_sweep_config(*workloads.sweep_grid(3), tmp_path / "sweep"))
-    return path
 
 
 class TestPresetFixtures:
