@@ -91,8 +91,12 @@ class _Protocol:
     Each numpy call in couple takes operands of its output's shape or 0-d
     arrays, never an (n, 1) or (1, n) operand that broadcasts nor a Python
     float: at n = 6 a call is mostly dispatch, about 0.3 us on that fast
-    path against 0.5-0.9 us off it.  HkbCoupling's (n, n) differences are
-    the one broadcast left, as the cheapest form measured.
+    path against 0.5-0.9 us off it.  The one broadcast left is HkbCoupling's:
+    it copies the states into an (n, 2) buffer it owns and takes both outer
+    differences, of positions and of velocities, in one subtract of its
+    (2, n, 1) and (2, 1, n) views into a (2, n, n) buffer.  The views are
+    bound once: building them on each call cost most of what the one call
+    saves.
     """
 
     def __post_init__(self):
@@ -147,18 +151,20 @@ class PartialState(_Protocol):
     c2: float = _strength()
 
     def bind(self, lap, weights, counts):
-        # field[:, 1] -= (c1 * (lap @ pos) + c2 * (lap @ vel)) / counts
-        c1, c2 = np.array(self.c1), np.array(self.c2)  # 0-d arrays, as in integrate
-        from_pos = np.empty(lap.shape[0])
-        from_vel = np.empty(lap.shape[0])
+        # field[:, 1] -= (c1 * (lap @ pos) + c2 * (lap @ vel)) / counts; both
+        # products go into the rows of one (2, n) buffer, so one multiply by
+        # the full-shape strengths scales them
+        n = lap.shape[0]
+        strengths = np.repeat([[self.c1], [self.c2]], n, axis=1)
+        products = np.empty((2, n))
+        from_pos, from_vel = products
         dot = lap.dot  # as in FullState
 
         def couple(field, x):
             _, pos, vel = x
             dot(pos, from_pos)
-            np.multiply(c1, from_pos, from_pos)
             dot(vel, from_vel)
-            np.multiply(c2, from_vel, from_vel)
+            np.multiply(strengths, products, products)
             np.add(from_pos, from_vel, from_pos)
             np.divide(from_pos, counts, from_pos)
             np.subtract(field[2], from_pos, field[2])
@@ -179,19 +185,21 @@ class HkbCoupling(_Protocol):
         a, b = np.array(self.a), np.array(self.b)  # 0-d arrays, as in integrate
         scale = self.c / counts
         n = lap.shape[0]
-        diff = np.empty((n, n))
+        own = np.empty((n, 2))  # diffs[k, i, j] = own[i, k] - own[j, k]
+        rows, cols = own.T[:, :, None], own.T[:, None, :]
+        diffs = np.empty((2, n, n))
+        dpos, dvel = diffs
         term = np.empty((n, n))
         total = np.empty(n)
 
         def couple(field, x):
-            _, pos, vel = x
-            np.subtract(pos[:, None], pos, diff)
-            np.multiply(b, diff, term)
-            np.multiply(term, diff, term)
+            np.copyto(own, x[0])
+            np.subtract(rows, cols, diffs)
+            np.multiply(b, dpos, term)
+            np.multiply(term, dpos, term)
             np.add(a, term, term)
             np.multiply(weights, term, term)
-            np.subtract(vel[:, None], vel, diff)
-            np.multiply(term, diff, term)
+            np.multiply(term, dvel, term)
             np.add.reduce(term, axis=1, out=total)
             np.multiply(scale, total, total)
             np.add(field[2], total, field[2])

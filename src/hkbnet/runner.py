@@ -121,11 +121,18 @@ def run_sweep(config: RunConfig) -> list[SweepCell]:
 # ---------------------------------------------------------------------------
 
 
-# Samples per formatted block of a per-sample CSV.  The block bounds what
-# emission holds at once (about 0.3 MiB of Python objects for six nodes,
-# whatever the duration); 4096-sample blocks held 5.4 MiB and saved under
-# a fifth of the emission time.
+# Samples per block of a per-sample CSV, and per %-template within a block.
+# The block bounds what emission holds at once (about 0.3 MiB of Python
+# objects for six nodes, whatever the duration); 4096-sample blocks held
+# 5.4 MiB and saved under a fifth of the emission time.  The piece size
+# barely moves the time but shifts the benchmark's peak RSS, set when the
+# run_presets check reads the 3.9 MB trajectory.csv into one buffer, which
+# glibc fits in the heap or not by the heap's layout.  Over 12 fixed rounds
+# of the five presets 256-sample pieces read 47.2 MiB, and 16-sample pieces
+# 43.2 or 47.0 by the driving script (the former writer 43.2-43.6); in the
+# benchmark's worker they read 43.6-44.1 MiB, the former writer 44.0-44.2.
 _BLOCK_SAMPLES = 256
+_PIECE_SAMPLES = 16
 
 
 def _fmt(value) -> str:
@@ -158,23 +165,32 @@ def _write_per_sample(handle, header: Sequence[str], times: np.ndarray, *columns
     """Write one row per sample of 1-D columns, or per sample and node of 2-D ones.
 
     A row is the time, the 1-based node number for 2-D columns, then one
-    value per column, all printed by one %-template as _write_csv prints
-    them.  Rows are formatted and written _BLOCK_SAMPLES samples at a time,
-    so memory does not grow with the number of samples.
+    value per column, printed as _write_csv prints them.  The rows are
+    formatted _BLOCK_SAMPLES samples at a time, so memory does not grow
+    with the number of samples.  In a block each time is formatted once,
+    the node numbers are part of the template, and one %-template formats
+    and one write emits every _PIECE_SAMPLES samples.
     """
     per_node = columns[0].ndim == 2
     n = columns[0].shape[1] if per_node else 1
-    template = "%.9g" + (",%d" if per_node else "") + ",%.9g" * len(columns) + "\n"
-    nodes = np.arange(1, n + 1)
+    tags = [f",{node}," for node in range(1, n + 1)] if per_node else [","]
+    values = ",".join(["%.9g"] * len(columns)) + "\n"
+    sample = "".join("%s" + tag + values for tag in tags)  # one sample's rows
+    width = 1 + len(columns)  # fields of a row: the time stamp, then the values
+    span = n * width  # fields of a sample
     handle.write(",".join(header) + "\n")
     for start in range(0, len(times), _BLOCK_SAMPLES):
         block = slice(start, start + _BLOCK_SAMPLES)
-        t = times[block]
-        lead = [np.repeat(t, n).tolist()]
-        if per_node:
-            lead.append(np.tile(nodes, len(t)).tolist())
-        values = [column[block].ravel().tolist() for column in columns]
-        handle.write("".join(map(template.__mod__, zip(*lead, *values))))
+        t = times[block].tolist()
+        stamps = ("%.9g\n" * len(t) % tuple(t)).split()
+        fields = [None] * (len(t) * span)
+        for node in range(n):
+            fields[node * width :: span] = stamps
+        for k, column in enumerate(columns, 1):
+            fields[k::width] = column[block].ravel().tolist()
+        for first in range(0, len(fields), _PIECE_SAMPLES * span):
+            piece = tuple(fields[first : first + _PIECE_SAMPLES * span])
+            handle.write(sample * (len(piece) // span) % piece)
 
 
 # The files of a run's bundle, in the order write_outputs fills them.

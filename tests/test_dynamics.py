@@ -553,6 +553,36 @@ class TestFieldBitPatterns:
                             seen["nan"] += np.any(np.isnan(got))
         assert min(seen.values()) > 0, f"a special value never reached the output; the cases are void: {seen}"
 
+    @pytest.mark.parametrize("protocol", ALL_PROTOCOLS, ids=lambda p: type(p).__name__)
+    @pytest.mark.parametrize("drive", [pytest.param(Entrainment(), id="undriven"),
+                                       pytest.param(Entrainment(amplitude=0.3, frequency=0.5, enabled=True),
+                                                    id="driven")])
+    @pytest.mark.parametrize("n", [2, 9])
+    def test_weighted_graph_field_matches_oracle_bitwise(self, n, protocol, drive):
+        # two nodes give the smallest (n, n) differences; at nine each HKB row
+        # reduce sums eight terms after the first, where numpy's pairwise sum
+        # switches to its unrolled path
+        rng = np.random.default_rng(100 + n)
+        special = np.array([0.0, -0.0, 5e-324, -5e-324, 1.0, 1e300])
+        states = [rng.normal(size=(n, 2)) for _ in range(5)] + [rng.choice(special, (n, 2)) for _ in range(40)]
+        table = rng.uniform([0.2, 0.3, 0.5, 0.2], [0.8, 1.8, 1.9, 0.9], (n, 4))
+        seen = {"negative zero": 0, "inf": 0, "nan": 0}
+        with np.errstate(all="ignore"):
+            for seed in (1, 2):
+                top = random_weighted_graph(n, 0.6, 0.2, 2.0, seed=seed)
+                for gamma in (0.0, -0.0, 0.7):
+                    params = [OscillatorParams(a, b, gamma, w) for a, b, _, w in table]
+                    mine = fresh_rhs(params, top, protocol, drive)
+                    oracle = oracle_field(params, top, protocol, drive)
+                    for t in (0.0, 1.7):
+                        for x in states:
+                            got = mine(t, x)
+                            assert same_bits(got, oracle(t, x)), (top.weights, gamma, t, x)
+                            seen["negative zero"] += np.any((got == 0.0) & np.signbit(got))
+                            seen["inf"] += np.any(np.isinf(got))
+                            seen["nan"] += np.any(np.isnan(got))
+        assert min(seen.values()) > 0, f"a special value never reached the output; the cases are void: {seen}"
+
 
 class TestOracleTrajectories:
     # bitwise state claims hold per BLAS kernel, so these compare two runs in

@@ -10,7 +10,7 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import ExitStack, redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -428,25 +428,54 @@ EDGE_VALUES = [-0.0, 5e-324, 1e16, -123456789.5, 0.1 + 0.2, 0.0, 1.0, -1e-300, 1
 
 
 class TestBlockWriter:
-    @pytest.mark.parametrize("samples", [4, 255, 256, 257, 2001])
-    @pytest.mark.parametrize("n", [1, 2, 6])
+    # 1, 15, 16 and 17 samples sit around one formatting piece, 255 to 257
+    # around a block; 12 nodes give two-digit node numbers
+    @pytest.mark.parametrize("samples", [1, 4, 15, 16, 17, 255, 256, 257, 2001])
+    @pytest.mark.parametrize("n", [1, 2, 6, 12])
     def test_matches_row_writer(self, n, samples, tmp_path):
         rng = np.random.default_rng(1000 * n + samples)
         pool = np.concatenate([EDGE_VALUES, rng.normal(size=64) * 10.0 ** rng.integers(-20, 21, size=64)])
         times, series = rng.choice(pool, size=(2, samples))
         pos, vel = rng.choice(pool, size=(2, samples, n))
-        cases = [
-            (("t", "node", "pos", "vel"), (times, pos, vel),
-             ((times[k], i + 1, pos[k, i], vel[k, i]) for k in range(samples) for i in range(n))),
-            (("t", "node", "theta"), (times, pos),
-             ((times[k], i + 1, pos[k, i]) for k in range(samples) for i in range(n))),
-            (("t", "eta"), (times, series), zip(times, series)),
-        ]
-        for header, arrays, rows in cases:
+        for nonfinite in (False, True):
+            if nonfinite:  # NaN and +-inf in the value columns, the times left finite
+                for column in (series, pos, vel):
+                    spots = rng.integers(0, column.size, size=column.size // 4 + 1)
+                    column.flat[spots] = rng.choice([np.nan, np.inf, -np.inf], size=spots.size)
+            cases = [
+                (("t", "node", "pos", "vel"), (times, pos, vel),
+                 ((times[k], i + 1, pos[k, i], vel[k, i]) for k in range(samples) for i in range(n))),
+                (("t", "node", "theta"), (times, pos),
+                 ((times[k], i + 1, pos[k, i]) for k in range(samples) for i in range(n))),
+                (("t", "eta"), (times, series), zip(times, series)),
+            ]
+            for header, arrays, rows in cases:
+                _row_writer(tmp_path / "rows.csv", header, rows)
+                with open(tmp_path / "blocks.csv", "w", encoding="utf-8", newline="\n") as handle:
+                    runner._write_per_sample(handle, header, *arrays)
+                written = (tmp_path / "blocks.csv").read_bytes()
+                assert written == (tmp_path / "rows.csv").read_bytes(), (header, nonfinite)
+
+    @pytest.mark.parametrize("name", config.PRESET_NAMES)
+    def test_preset_files_match_row_writer(self, name, tmp_path):
+        result = runner.simulate(dataclasses.replace(runner.preset_config(name), duration=20.0))
+        with ExitStack() as stack:
+            handles = [stack.enter_context(open(tmp_path / file, "w", encoding="utf-8", newline="\n"))
+                       for file in runner.RUN_FILES]
+            runner.write_outputs(result, handles)
+        times, states, report = result.trajectory.times, result.trajectory.states, result.report
+        samples, n = states.shape[:2]
+        expected = {
+            "trajectory.csv": (("t", "node", "pos", "vel"), ((times[k], i + 1, *states[k, i])
+                                                            for k in range(samples) for i in range(n))),
+            "phases.csv": (("t", "node", "theta"), ((times[k], i + 1, report.phases.phases[k, i])
+                                                    for k in range(samples) for i in range(n))),
+            "rho_g_series.csv": (("t", "rho_g"), zip(times, report.rho_g_series)),
+            "eta_series.csv": (("t", "eta"), zip(times, report.eta_series)),
+        }
+        for file, (header, rows) in expected.items():
             _row_writer(tmp_path / "rows.csv", header, rows)
-            with open(tmp_path / "blocks.csv", "w", encoding="utf-8", newline="\n") as handle:
-                runner._write_per_sample(handle, header, *arrays)
-            assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes(), header
+            assert (tmp_path / file).read_bytes() == (tmp_path / "rows.csv").read_bytes(), file
 
 
 class TestSweep:
