@@ -71,32 +71,35 @@ def strength_fields(protocol) -> tuple[str, ...]:
     return tuple(f.name for f in dataclasses.fields(protocol) if f.metadata.get("strength"))
 
 
-def _columns(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(a, pos view, vel view) of an (n, 2) array: the form the in-place field and couplings take."""
-    return a, a[:, 0], a[:, 1]
-
-
 class _Protocol:
     """Base of the coupling protocols; rejects a negative strength and any non-finite field.
 
     Each protocol's bind(lap, weights, counts) takes the graph Laplacian, the
-    weight matrix and the neighbor counts, and returns couple(field, x): it
-    adds the interaction at the states x to the (n, 2) network field in
-    place, both given as _columns triples.  couple computes its constants
-    once and owns its scratch buffers; NoCoupling binds to None.  The
-    average mismatch is taken over the neighbor count, not the weighted
-    degree, so every protocol is diffusive: it adds nothing when all nodes
-    share one state.
+    weight matrix and the neighbor counts, computes its constants and its
+    scratch buffers once, and returns attach(x, field); NoCoupling binds to
+    None.  attach takes one RK4 stage's (n, 2) states x and (n, 2) network
+    field, binds the views of them it needs, and returns couple(), which
+    adds the interaction at x to field in place.  integrate attaches once
+    per stage, so the stages share the scratch buffers and no call builds a
+    view.  The average mismatch is taken over the neighbor count, not the
+    weighted degree, so every protocol is diffusive: it adds nothing when
+    all nodes share one state.
 
     Each numpy call in couple takes operands of its output's shape or 0-d
     arrays, never an (n, 1) or (1, n) operand that broadcasts nor a Python
     float: at n = 6 a call is mostly dispatch, about 0.3 us on that fast
     path against 0.5-0.9 us off it.  The one broadcast left is HkbCoupling's:
-    it copies the states into an (n, 2) buffer it owns and takes both outer
-    differences, of positions and of velocities, in one subtract of its
-    (2, n, 1) and (2, 1, n) views into a (2, n, n) buffer.  The views are
-    bound once: building them on each call cost most of what the one call
-    saves.
+    it takes both outer differences, of positions and of velocities, in one
+    subtract of (2, n, 1) and (2, 1, n) views of the stage's own states into
+    a (2, n, n) buffer, with no copy of the states.
+
+    The node field takes -omega**2 * pos and (... - gamma) * vel in one
+    multiply of the states by an (n, 2) buffer [-omega**2, bracket].  An RK4
+    step then makes, per protocol, this many calls of np.add (its reduce
+    included), np.subtract, np.multiply, np.divide and np.copyto:
+    NoCoupling 34, FullState 42, PartialState 50, HkbCoupling 70; a drive
+    adds 4, one per stage.  The Laplacian products (lap.dot) and the copies
+    by assignment are not counted.
     """
 
     def __post_init__(self):
@@ -109,9 +112,9 @@ class _Protocol:
 
     def add_coupling(self, field, x, lap, weights, counts) -> None:
         """Add the interaction at the (n, 2) states x to field in place."""
-        couple = self.bind(lap, weights, counts)
-        if couple is not None:
-            couple(_columns(field), _columns(x))
+        attach = self.bind(lap, weights, counts)
+        if attach is not None:
+            attach(x, field)()
 
 
 @dataclass(frozen=True)
@@ -134,13 +137,17 @@ class FullState(_Protocol):
         scale = np.repeat((self.c / counts)[:, None], 2, axis=1)
         mismatch = np.empty((lap.shape[0], 2))
         dot = lap.dot  # the BLAS product of np.matmul, without its ufunc dispatch
+        multiply, subtract = np.multiply, np.subtract
 
-        def couple(field, x):
-            dot(x[0], mismatch)
-            np.multiply(scale, mismatch, mismatch)
-            np.subtract(field[0], mismatch, field[0])
+        def attach(x, field):
+            def couple():
+                dot(x, mismatch)
+                multiply(scale, mismatch, mismatch)
+                subtract(field, mismatch, field)
 
-        return couple
+            return couple
+
+        return attach
 
 
 @dataclass(frozen=True)
@@ -159,17 +166,22 @@ class PartialState(_Protocol):
         products = np.empty((2, n))
         from_pos, from_vel = products
         dot = lap.dot  # as in FullState
+        multiply, add, divide, subtract = np.multiply, np.add, np.divide, np.subtract
 
-        def couple(field, x):
-            _, pos, vel = x
-            dot(pos, from_pos)
-            dot(vel, from_vel)
-            np.multiply(strengths, products, products)
-            np.add(from_pos, from_vel, from_pos)
-            np.divide(from_pos, counts, from_pos)
-            np.subtract(field[2], from_pos, field[2])
+        def attach(x, field):
+            pos, vel, acc = x[:, 0], x[:, 1], field[:, 1]
 
-        return couple
+            def couple():
+                dot(pos, from_pos)
+                dot(vel, from_vel)
+                multiply(strengths, products, products)
+                add(from_pos, from_vel, from_pos)
+                divide(from_pos, counts, from_pos)
+                subtract(acc, from_pos, acc)
+
+            return couple
+
+        return attach
 
 
 @dataclass(frozen=True)
@@ -185,26 +197,30 @@ class HkbCoupling(_Protocol):
         a, b = np.array(self.a), np.array(self.b)  # 0-d arrays, as in integrate
         scale = self.c / counts
         n = lap.shape[0]
-        own = np.empty((n, 2))  # diffs[k, i, j] = own[i, k] - own[j, k]
-        rows, cols = own.T[:, :, None], own.T[:, None, :]
         diffs = np.empty((2, n, n))
         dpos, dvel = diffs
         term = np.empty((n, n))
         total = np.empty(n)
+        multiply, add, subtract, row_sum = np.multiply, np.add, np.subtract, np.add.reduce
 
-        def couple(field, x):
-            np.copyto(own, x[0])
-            np.subtract(rows, cols, diffs)
-            np.multiply(b, dpos, term)
-            np.multiply(term, dpos, term)
-            np.add(a, term, term)
-            np.multiply(weights, term, term)
-            np.multiply(term, dvel, term)
-            np.add.reduce(term, axis=1, out=total)
-            np.multiply(scale, total, total)
-            np.add(field[2], total, field[2])
+        def attach(x, field):
+            rows, cols = x.T[:, :, None], x.T[:, None, :]  # diffs[k, i, j] = x[i, k] - x[j, k]
+            acc = field[:, 1]
 
-        return couple
+            def couple():
+                subtract(rows, cols, diffs)
+                multiply(b, dpos, term)
+                multiply(term, dpos, term)
+                add(a, term, term)
+                multiply(weights, term, term)
+                multiply(term, dvel, term)
+                row_sum(term, axis=1, out=total)
+                multiply(scale, total, total)
+                add(acc, total, acc)
+
+            return couple
+
+        return attach
 
 
 CouplingProtocol = Union[NoCoupling, FullState, PartialState, HkbCoupling]
@@ -298,11 +314,13 @@ def _network_field_into(
     topology: Topology,
     protocol: CouplingProtocol,
     entrainment: Entrainment,
-) -> Callable[[float, tuple, tuple], None]:
-    """Build field(t, x, out), which writes the network field at (t, x) into out.
+) -> Callable[[np.ndarray, np.ndarray], Callable[[np.ndarray], None]]:
+    """Build bind(x, out), which returns field(drive) for one pair of (n, 2) arrays.
 
-    x and out are _columns triples of distinct (n, 2) arrays.  field owns
-    scratch buffers, so one field must not run in two threads at once.
+    field writes the network field at the states x into out, a distinct
+    array, and adds the 0-d drive to every acceleration when the entrainment
+    is active.  The fields that bind returns share scratch buffers, so no
+    two of them may run at once.
     """
     n = topology.n
     if len(params) != n:
@@ -310,47 +328,52 @@ def _network_field_into(
     # one multiply by [[alpha, beta]] then one by x gives alpha*pos*pos and beta*vel*vel
     alpha_beta = np.array([[p.alpha, p.beta] for p in params])
     gamma = np.array([p.gamma for p in params])
-    neg_omega_sq = -(np.array([p.omega for p in params]) ** 2)
+    # column 0 holds -omega**2 and column 1 the bracket (alpha*pos*pos +
+    # beta*vel*vel - gamma), so one multiply by x gives the spring and bracket * vel
+    factors = np.empty((n, 2))
+    factors[:, 0] = -(np.array([p.omega for p in params]) ** 2)
+    bracket = factors[:, 1]
     counts = topology.neighbor_counts.astype(float)
     if not isinstance(protocol, NoCoupling) and np.any(counts == 0.0):
         raise ValueError("coupled dynamics need every node to have a neighbor")
-    couple = protocol.bind(laplacian(topology), topology.weights, counts)
+    attach = protocol.bind(laplacian(topology), topology.weights, counts)
     driven = entrainment.active
-    amplitude, frequency = entrainment.amplitude, entrainment.frequency
-    squares, squares_pos, squares_vel = _columns(np.empty((n, 2)))
-    spring = np.empty(n)
-    drive = np.empty(())
+    squares = np.empty((n, 2))
+    squares_pos, squares_vel = squares[:, 0], squares[:, 1]
     # local names and a positional out (the last argument): at n = 6 a ufunc
     # call is mostly dispatch, so name lookups and keyword parsing show.
     # Every operand has the output's shape or is 0-d, which keeps a call on
     # numpy's fast path: at n = 6 such a call costs about 0.3 us, while an
     # (n, 1) operand that broadcasts costs about 0.9 us and a Python float
     # about 0.5-0.9 us.
-    multiply, add, subtract, sin = np.multiply, np.add, np.subtract, math.sin
+    multiply, add, subtract = np.multiply, np.add, np.subtract
 
-    def field(t: float, x: tuple, out: tuple) -> None:
-        # acc = -(alpha * pos * pos + beta * vel * vel - gamma) * vel - omega_sq * pos,
-        # one operation at a time in that order, but ending in
-        # (-omega_sq * pos) - (... - gamma) * vel: rounding is symmetric in
-        # sign and addition commutes, signed zeros included, so this is the
-        # same float (a NaN's sign bit aside) with one call fewer
-        state, pos, vel = x
-        _, dpos, acc = out
-        dpos[:] = vel
-        multiply(alpha_beta, state, squares)
-        multiply(squares, state, squares)
-        add(squares_pos, squares_vel, acc)
-        subtract(acc, gamma, acc)
-        multiply(acc, vel, acc)
-        multiply(neg_omega_sq, pos, spring)
-        subtract(spring, acc, acc)
-        if couple is not None:
-            couple(out, x)
-        if driven:
-            drive.fill(amplitude * sin(frequency * t))
-            add(acc, drive, acc)
+    def bind(x: np.ndarray, out: np.ndarray) -> Callable[[np.ndarray], None]:
+        vel, dpos, acc = x[:, 1], out[:, 0], out[:, 1]
+        couple = None if attach is None else attach(x, out)
 
-    return field
+        def field(drive: np.ndarray) -> None:
+            # acc = -(alpha * pos * pos + beta * vel * vel - gamma) * vel - omega_sq * pos,
+            # one operation at a time in that order, but ending in
+            # (-omega_sq * pos) - (... - gamma) * vel: rounding is symmetric in
+            # sign and addition commutes, signed zeros included, so this is the
+            # same float (a NaN's sign bit aside) with no negation, and both
+            # products come from one multiply of [-omega_sq, bracket] by x
+            dpos[...] = vel  # [...] is the cheapest setitem: no slice object to parse
+            multiply(alpha_beta, x, squares)
+            multiply(squares, x, squares)
+            add(squares_pos, squares_vel, bracket)
+            subtract(bracket, gamma, bracket)
+            multiply(factors, x, squares)
+            subtract(squares_pos, squares_vel, acc)
+            if couple is not None:
+                couple()
+            if driven:
+                add(acc, drive, acc)
+
+        return field
+
+    return bind
 
 
 def step_count(duration: float, dt: float) -> int:
@@ -411,42 +434,65 @@ def integrate(
         raise ValueError(f"initial state has shape {x.shape}, not ({n}, 2)")
     if not np.all(np.isfinite(x)):
         raise ValueError("initial state must be finite")
-    field = _network_field_into(params, topology, protocol, entrainment)
+    bind = _network_field_into(params, topology, protocol, entrainment)
     kept = 1 if positions_only else 2
     states = np.empty((steps + 1, n, kept))
     states[0] = x[:, :kept]
     block = np.empty((_CHECK_BLOCK, n, 2))  # checked whole, then copied into the recording
     half = 0.5 * dt
     # the RK4 weights as 0-d arrays, which numpy multiplies by faster than by
-    # Python floats, with the same result
-    w_half, w_dt, w_two, w_sixth = (np.array(w) for w in (half, dt, 2.0, dt / 6.0))
-    k1, k2, k3, k4, y = (np.empty((n, 2)) for _ in range(5))
-    x_cols, k1_cols, k2_cols, k3_cols, k4_cols, y_cols = map(_columns, (x, k1, k2, k3, k4, y))
+    # Python floats, with the same result; [2, dt] is full-shape, as in couple
+    w_half, w_sixth = np.array(half), np.array(dt / 6.0)
+    two_dt = np.empty((2, n, 2))
+    two_dt[0], two_dt[1] = 2.0, dt
+    # the tail pairs its operands in (2, n, 2) buffers: [k1, x], [k2, k3]
+    # (k2 becomes k2 + k3 in place) and [k1 + 2 * (k2 + k3), x + dt * k3]
+    k1_x, k2_k3, sum_y4 = (np.empty((2, n, 2)) for _ in range(3))
+    k1_x[1] = x
+    k1, x = k1_x
+    k2, k3 = k2_k3
+    total, y4 = sum_y4
+    y, k4 = np.empty((n, 2)), np.empty((n, 2))
+    # each stage's field is bound once to its input and output buffers
+    field1, field2, field3, field4 = bind(x, k1), bind(y, k2), bind(y, k3), bind(y4, k4)
+    # a block's stage drives, at t, t + dt / 2 (shared by k2 and k3) and
+    # t + dt of each step, filled once per block; each step's row of the
+    # block goes with 0-d views of its three drives.  An inactive drive
+    # stays zero and is never added
+    drives = np.zeros((min(steps, _CHECK_BLOCK), 3))
+    rows_drives = [(row, d[0, ...], d[1, ...], d[2, ...]) for row, d in zip(block, drives)]
+    driven = entrainment.active
+    amplitude, frequency, sin = entrainment.amplitude, entrainment.frequency, math.sin
     multiply, add = np.multiply, np.add
     # past a divergence up to _CHECK_BLOCK - 1 more steps run on inf and nan
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(1, steps + 1, _CHECK_BLOCK):
             stop = min(start + _CHECK_BLOCK, steps + 1)
-            for k in range(start, stop):
-                t = (k - 1) * dt
-                field(t, x_cols, k1_cols)
+            if driven:
+                drives[: stop - start] = [
+                    (amplitude * sin(frequency * t), amplitude * sin(frequency * (t + half)),
+                     amplitude * sin(frequency * (t + dt)))
+                    for t in [(k - 1) * dt for k in range(start, stop)]
+                ]
+            for row, drive1, drive2, drive4 in rows_drives[: stop - start]:
+                field1(drive1)
                 multiply(w_half, k1, y)
                 add(x, y, y)
-                field(t + half, y_cols, k2_cols)
+                field2(drive2)
                 multiply(w_half, k2, y)
                 add(x, y, y)
-                field(t + half, y_cols, k3_cols)
-                multiply(w_dt, k3, y)
-                add(x, y, y)
-                field(t + dt, y_cols, k4_cols)
-                # x + sixth * (k1 + 2 * (k2 + k3) + k4), one operation at a time
+                field3(drive2)
+                # x + sixth * (k1 + 2 * (k2 + k3) + k4), one operation at a
+                # time, with k1 + 2 * (k2 + k3) and the k4 input x + dt * k3
+                # taken in pairs
                 add(k2, k3, k2)
-                multiply(w_two, k2, k2)
-                add(k1, k2, k1)
-                add(k1, k4, k1)
-                multiply(w_sixth, k1, k1)
-                add(x, k1, x)
-                block[k - start] = x
+                multiply(two_dt, k2_k3, k2_k3)
+                add(k1_x, k2_k3, sum_y4)
+                field4(drive4)
+                add(total, k4, total)
+                multiply(w_sixth, total, total)
+                add(x, total, x)
+                row[...] = x
             rows = block[: stop - start]
             _check_rows(rows, start)
             states[start:stop] = rows[:, :, :kept]

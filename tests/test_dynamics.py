@@ -1,8 +1,10 @@
 """Unit tests for the node field, coupling protocols, and RK4 integration."""
 
+import collections
 import dataclasses
 import functools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -74,11 +76,11 @@ def per_node_coupling(i, states, topology, protocol):
 
 def fresh_rhs(params, topology, protocol, entrainment):
     """rhs(t, x): the in-place network field written into a fresh (n, 2) array on each call."""
-    into = dynamics._network_field_into(params, topology, protocol, entrainment)
+    bind = dynamics._network_field_into(params, topology, protocol, entrainment)
 
     def rhs(t, x):
         out = np.empty_like(x)
-        into(t, dynamics._columns(x), dynamics._columns(out))
+        bind(x, out)(np.array(entrainment.amplitude * math.sin(entrainment.frequency * t)))
         return out
 
     return rhs
@@ -557,11 +559,13 @@ class TestFieldBitPatterns:
     @pytest.mark.parametrize("drive", [pytest.param(Entrainment(), id="undriven"),
                                        pytest.param(Entrainment(amplitude=0.3, frequency=0.5, enabled=True),
                                                     id="driven")])
-    @pytest.mark.parametrize("n", [2, 9])
+    @pytest.mark.parametrize("n", [2, 9, 16, 24])
     def test_weighted_graph_field_matches_oracle_bitwise(self, n, protocol, drive):
         # two nodes give the smallest (n, n) differences; at nine each HKB row
         # reduce sums eight terms after the first, where numpy's pairwise sum
-        # switches to its unrolled path
+        # switches to its unrolled path; from 16 nodes on, OpenBLAS 0.3.31's
+        # SkylakeX kernels give a transposed product x.T.dot(lap.T) other bits
+        # than lap.dot(x), which they match below 16
         rng = np.random.default_rng(100 + n)
         special = np.array([0.0, -0.0, 5e-324, -5e-324, 1.0, 1e300])
         states = [rng.normal(size=(n, 2)) for _ in range(5)] + [rng.choice(special, (n, 2)) for _ in range(40)]
@@ -593,6 +597,21 @@ class TestOracleTrajectories:
         args = (cfg.params, cfg.topology, cfg.protocol, cfg.initial_states, 20.0, cfg.dt, cfg.entrainment)
         assert same_bits(integrate(*args).states, oracle_integrate(*args))
 
+    @pytest.mark.parametrize("protocol", ALL_PROTOCOLS, ids=lambda p: type(p).__name__)
+    @pytest.mark.parametrize("drive", [pytest.param(Entrainment(), id="undriven"),
+                                       pytest.param(Entrainment(amplitude=0.3, frequency=0.5, enabled=True),
+                                                    id="driven")])
+    def test_twenty_node_states_match_oracle_bitwise(self, protocol, drive):
+        # a graph large enough that a transposed Laplacian product changes bits
+        # (see test_weighted_graph_field_matches_oracle_bitwise)
+        rng = np.random.default_rng(20)
+        top = random_weighted_graph(20, 0.6, 0.2, 2.0, seed=20)
+        params = [OscillatorParams(*row) for row in rng.uniform([0.2, 0.3, 0.5, 0.2], [0.8, 1.8, 1.9, 0.9], (20, 4))]
+        args = (params, top, protocol, rng.normal(0.0, 1.0, (20, 2)), 2.0, 0.01, drive)
+        reference = oracle_integrate(*args)
+        assert same_bits(integrate(*args).states, reference)
+        assert same_bits(integrate(*args, positions_only=True).states[:, :, 0], reference[:, :, 0])
+
     def test_benchmark_sweep_cells_match_oracle_bitwise(self, entrainment_sweep_path):
         cells = config._sweep_grid(config.load_config(entrainment_sweep_path))
         assert len(cells) == 4
@@ -601,6 +620,37 @@ class TestOracleTrajectories:
             args = (cell.params, cell.topology, cell.protocol, cell.initial_states, 20.0, cell.dt, cell.entrainment)
             positions = integrate(*args, positions_only=True).states
             assert same_bits(positions[:, :, 0], oracle_integrate(*args)[:, :, 0])
+
+
+class TestCallBudget:
+    @pytest.mark.parametrize("protocol", ALL_PROTOCOLS, ids=lambda p: type(p).__name__)
+    @pytest.mark.parametrize("drive", [pytest.param(Entrainment(), id="undriven"),
+                                       pytest.param(Entrainment(amplitude=0.3, frequency=0.5, enabled=True),
+                                                    id="driven")])
+    def test_step_makes_the_documented_numpy_calls(self, monkeypatch, protocol, drive):
+        # at n = 6 a numpy call costs mostly dispatch, so the step's cost is
+        # close to its call count; this holds integrate to the count the
+        # _Protocol docstring states, and nothing outside the steps may call
+        counts = collections.Counter()
+
+        class Counting:
+            def __init__(self, name, func):
+                self.name, self.func = name, func
+                if hasattr(func, "reduce"):
+                    self.reduce = Counting(f"{name}.reduce", func.reduce)
+
+            def __call__(self, *args, **kwargs):
+                counts[self.name] += 1
+                return self.func(*args, **kwargs)
+
+        for name in ("add", "subtract", "multiply", "divide", "copyto"):
+            monkeypatch.setattr(np, name, Counting(name, getattr(np, name)))
+        integrate(ROCKING6_PARAMS, complete_graph(6), protocol, ROCKING6_INITIAL, 5.12, 0.01, drive)
+        doc = dynamics._Protocol.__doc__
+        per_step = int(re.search(rf"\b{type(protocol).__name__}\s+(\d+)", doc).group(1))
+        if drive.active:
+            per_step += int(re.search(r"a drive\s+adds\s+(\d+)", doc).group(1))
+        assert sum(counts.values()) == 512 * per_step, dict(counts)
 
 
 class TestUncoupledSeparability:
