@@ -11,8 +11,7 @@ import sys
 
 from .config import PRESET_NAMES, ConfigError, apply_overrides, load_config, validate_config
 from .dynamics import DivergenceError
-from .phase import DegenerateSignalError
-from .runner import evaluate_bounds, nodes_fault, run, sweep
+from .runner import evaluate_bounds, run, sweep
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -73,9 +72,6 @@ def main(argv=None) -> int:
             return EXIT_OK
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DegenerateSignalError as exc:
-        print(f"error: {nodes_fault(exc)}", file=sys.stderr)
         return EXIT_CONFIG
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)

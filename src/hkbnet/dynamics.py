@@ -74,16 +74,15 @@ def strength_fields(protocol) -> tuple[str, ...]:
 class _Protocol:
     """Base of the coupling protocols; rejects a negative strength and any non-finite field.
 
-    Each protocol's bind(lap, weights, counts) takes the graph Laplacian, the
-    weight matrix and the neighbor counts, computes its constants and its
-    scratch buffers once, and returns attach(x, field); NoCoupling binds to
-    None.  attach takes one RK4 stage's (n, 2) states x and (n, 2) network
-    field, binds the views of them it needs, and returns couple(), which
-    adds the interaction at x to field in place.  integrate attaches once
-    per stage, so the stages share the scratch buffers and no call builds a
-    view.  The average mismatch is taken over the neighbor count, not the
-    weighted degree, so every protocol is diffusive: it adds nothing when
-    all nodes share one state.
+    Each protocol's bind(lap, weights, counts, x, field) takes the graph
+    Laplacian, the weight matrix, the neighbor counts and one RK4 stage's
+    (n, 2) states x and (n, 2) network field.  It computes its constants,
+    its scratch buffers and the views of x and field it needs in one call,
+    and returns couple(), which adds the interaction at x to field in place;
+    NoCoupling binds to None.  integrate binds once per stage, so each stage
+    owns its scratch and no call builds a view.  The average mismatch is
+    taken over the neighbor count, not the weighted degree, so every
+    protocol is diffusive: it adds nothing when all nodes share one state.
 
     Each numpy call in couple takes operands of its output's shape or 0-d
     arrays, never an (n, 1) or (1, n) operand that broadcasts nor a Python
@@ -112,16 +111,16 @@ class _Protocol:
 
     def add_coupling(self, field, x, lap, weights, counts) -> None:
         """Add the interaction at the (n, 2) states x to field in place."""
-        attach = self.bind(lap, weights, counts)
-        if attach is not None:
-            attach(x, field)()
+        couple = self.bind(lap, weights, counts, x, field)
+        if couple is not None:
+            couple()
 
 
 @dataclass(frozen=True)
 class NoCoupling(_Protocol):
     """Isolated nodes: every interaction term is zero."""
 
-    def bind(self, lap, weights, counts) -> None:
+    def bind(self, lap, weights, counts, x, field) -> None:
         return None
 
 
@@ -131,7 +130,7 @@ class FullState(_Protocol):
 
     c: float = _strength()
 
-    def bind(self, lap, weights, counts):
+    def bind(self, lap, weights, counts, x, field):
         # field -= (c / counts)[:, None] * (lap @ x); the scale is bound as
         # (n, 2), the same values repeated, since an (n, 1) operand broadcasts
         scale = np.repeat((self.c / counts)[:, None], 2, axis=1)
@@ -139,15 +138,12 @@ class FullState(_Protocol):
         dot = lap.dot  # the BLAS product of np.matmul, without its ufunc dispatch
         multiply, subtract = np.multiply, np.subtract
 
-        def attach(x, field):
-            def couple():
-                dot(x, mismatch)
-                multiply(scale, mismatch, mismatch)
-                subtract(field, mismatch, field)
+        def couple():
+            dot(x, mismatch)
+            multiply(scale, mismatch, mismatch)
+            subtract(field, mismatch, field)
 
-            return couple
-
-        return attach
+        return couple
 
 
 @dataclass(frozen=True)
@@ -157,7 +153,7 @@ class PartialState(_Protocol):
     c1: float = _strength()
     c2: float = _strength()
 
-    def bind(self, lap, weights, counts):
+    def bind(self, lap, weights, counts, x, field):
         # field[:, 1] -= (c1 * (lap @ pos) + c2 * (lap @ vel)) / counts; both
         # products go into the rows of one (2, n) buffer, so one multiply by
         # the full-shape strengths scales them
@@ -166,22 +162,18 @@ class PartialState(_Protocol):
         products = np.empty((2, n))
         from_pos, from_vel = products
         dot = lap.dot  # as in FullState
+        pos, vel, acc = x[:, 0], x[:, 1], field[:, 1]
         multiply, add, divide, subtract = np.multiply, np.add, np.divide, np.subtract
 
-        def attach(x, field):
-            pos, vel, acc = x[:, 0], x[:, 1], field[:, 1]
+        def couple():
+            dot(pos, from_pos)
+            dot(vel, from_vel)
+            multiply(strengths, products, products)
+            add(from_pos, from_vel, from_pos)
+            divide(from_pos, counts, from_pos)
+            subtract(acc, from_pos, acc)
 
-            def couple():
-                dot(pos, from_pos)
-                dot(vel, from_vel)
-                multiply(strengths, products, products)
-                add(from_pos, from_vel, from_pos)
-                divide(from_pos, counts, from_pos)
-                subtract(acc, from_pos, acc)
-
-            return couple
-
-        return attach
+        return couple
 
 
 @dataclass(frozen=True)
@@ -192,7 +184,7 @@ class HkbCoupling(_Protocol):
     b: float
     c: float = _strength()
 
-    def bind(self, lap, weights, counts):
+    def bind(self, lap, weights, counts, x, field):
         # field[:, 1] += (c / counts) * (weights * (a + b * dpos * dpos) * dvel).sum(axis=1)
         a, b = np.array(self.a), np.array(self.b)  # 0-d arrays, as in integrate
         scale = self.c / counts
@@ -201,26 +193,22 @@ class HkbCoupling(_Protocol):
         dpos, dvel = diffs
         term = np.empty((n, n))
         total = np.empty(n)
+        rows, cols = x.T[:, :, None], x.T[:, None, :]  # diffs[k, i, j] = x[i, k] - x[j, k]
+        acc = field[:, 1]
         multiply, add, subtract, row_sum = np.multiply, np.add, np.subtract, np.add.reduce
 
-        def attach(x, field):
-            rows, cols = x.T[:, :, None], x.T[:, None, :]  # diffs[k, i, j] = x[i, k] - x[j, k]
-            acc = field[:, 1]
+        def couple():
+            subtract(rows, cols, diffs)
+            multiply(b, dpos, term)
+            multiply(term, dpos, term)
+            add(a, term, term)
+            multiply(weights, term, term)
+            multiply(term, dvel, term)
+            row_sum(term, axis=1, out=total)
+            multiply(scale, total, total)
+            add(acc, total, acc)
 
-            def couple():
-                subtract(rows, cols, diffs)
-                multiply(b, dpos, term)
-                multiply(term, dpos, term)
-                add(a, term, term)
-                multiply(weights, term, term)
-                multiply(term, dvel, term)
-                row_sum(term, axis=1, out=total)
-                multiply(scale, total, total)
-                add(acc, total, acc)
-
-            return couple
-
-        return attach
+        return couple
 
 
 CouplingProtocol = Union[NoCoupling, FullState, PartialState, HkbCoupling]
@@ -314,13 +302,15 @@ def _network_field_into(
     topology: Topology,
     protocol: CouplingProtocol,
     entrainment: Entrainment,
-) -> Callable[[np.ndarray, np.ndarray], Callable[[np.ndarray], None]]:
-    """Build bind(x, out), which returns field(drive) for one pair of (n, 2) arrays.
+    x: np.ndarray,
+    out: np.ndarray,
+) -> Callable[[np.ndarray], None]:
+    """Build field(drive) for one RK4 stage's pair of (n, 2) arrays.
 
     field writes the network field at the states x into out, a distinct
     array, and adds the 0-d drive to every acceleration when the entrainment
-    is active.  The fields that bind returns share scratch buffers, so no
-    two of them may run at once.
+    is active.  Each field owns its scratch buffers, so fields built for
+    different stages share none.
     """
     n = topology.n
     if len(params) != n:
@@ -336,7 +326,7 @@ def _network_field_into(
     counts = topology.neighbor_counts.astype(float)
     if not isinstance(protocol, NoCoupling) and np.any(counts == 0.0):
         raise ValueError("coupled dynamics need every node to have a neighbor")
-    attach = protocol.bind(laplacian(topology), topology.weights, counts)
+    couple = protocol.bind(laplacian(topology), topology.weights, counts, x, out)
     driven = entrainment.active
     squares = np.empty((n, 2))
     squares_pos, squares_vel = squares[:, 0], squares[:, 1]
@@ -346,34 +336,29 @@ def _network_field_into(
     # numpy's fast path: at n = 6 such a call costs about 0.3 us, while an
     # (n, 1) operand that broadcasts costs about 0.9 us and a Python float
     # about 0.5-0.9 us.
+    vel, dpos, acc = x[:, 1], out[:, 0], out[:, 1]
     multiply, add, subtract = np.multiply, np.add, np.subtract
 
-    def bind(x: np.ndarray, out: np.ndarray) -> Callable[[np.ndarray], None]:
-        vel, dpos, acc = x[:, 1], out[:, 0], out[:, 1]
-        couple = None if attach is None else attach(x, out)
+    def field(drive: np.ndarray) -> None:
+        # acc = -(alpha * pos * pos + beta * vel * vel - gamma) * vel - omega_sq * pos,
+        # one operation at a time in that order, but ending in
+        # (-omega_sq * pos) - (... - gamma) * vel: rounding is symmetric in
+        # sign and addition commutes, signed zeros included, so this is the
+        # same float (a NaN's sign bit aside) with no negation, and both
+        # products come from one multiply of [-omega_sq, bracket] by x
+        dpos[...] = vel  # [...] is the cheapest setitem: no slice object to parse
+        multiply(alpha_beta, x, squares)
+        multiply(squares, x, squares)
+        add(squares_pos, squares_vel, bracket)
+        subtract(bracket, gamma, bracket)
+        multiply(factors, x, squares)
+        subtract(squares_pos, squares_vel, acc)
+        if couple is not None:
+            couple()
+        if driven:
+            add(acc, drive, acc)
 
-        def field(drive: np.ndarray) -> None:
-            # acc = -(alpha * pos * pos + beta * vel * vel - gamma) * vel - omega_sq * pos,
-            # one operation at a time in that order, but ending in
-            # (-omega_sq * pos) - (... - gamma) * vel: rounding is symmetric in
-            # sign and addition commutes, signed zeros included, so this is the
-            # same float (a NaN's sign bit aside) with no negation, and both
-            # products come from one multiply of [-omega_sq, bracket] by x
-            dpos[...] = vel  # [...] is the cheapest setitem: no slice object to parse
-            multiply(alpha_beta, x, squares)
-            multiply(squares, x, squares)
-            add(squares_pos, squares_vel, bracket)
-            subtract(bracket, gamma, bracket)
-            multiply(factors, x, squares)
-            subtract(squares_pos, squares_vel, acc)
-            if couple is not None:
-                couple()
-            if driven:
-                add(acc, drive, acc)
-
-        return field
-
-    return bind
+    return field
 
 
 def step_count(duration: float, dt: float) -> int:
@@ -434,7 +419,6 @@ def integrate(
         raise ValueError(f"initial state has shape {x.shape}, not ({n}, 2)")
     if not np.all(np.isfinite(x)):
         raise ValueError("initial state must be finite")
-    bind = _network_field_into(params, topology, protocol, entrainment)
     kept = 1 if positions_only else 2
     states = np.empty((steps + 1, n, kept))
     states[0] = x[:, :kept]
@@ -453,8 +437,9 @@ def integrate(
     k2, k3 = k2_k3
     total, y4 = sum_y4
     y, k4 = np.empty((n, 2)), np.empty((n, 2))
-    # each stage's field is bound once to its input and output buffers
-    field1, field2, field3, field4 = bind(x, k1), bind(y, k2), bind(y, k3), bind(y4, k4)
+    # each stage builds its own field, with its own scratch, bound to its input and output buffers
+    field1, field2, field3, field4 = (_network_field_into(params, topology, protocol, entrainment, *stage)
+                                      for stage in ((x, k1), (y, k2), (y, k3), (y4, k4)))
     # a block's stage drives, at t, t + dt / 2 (shared by k2 and k3) and
     # t + dt of each step, filled once per block; each step's row of the
     # block goes with 0-d views of its three drives.  An inactive drive

@@ -163,6 +163,6 @@ def neighbor_lambda2(topology: Topology) -> float:
     counts = topology.neighbor_counts
     if np.any(counts == 0):
         isolated = int(np.flatnonzero(counts == 0)[0])
-        raise ValueError(f"node {isolated} has no neighbors")
+        raise ValueError(f"node {isolated + 1} has no neighbors")
     root = np.sqrt(counts)
     return spectrum(laplacian(topology) / np.outer(root, root)).lambda2

@@ -149,9 +149,7 @@ def group_sync_summary(series) -> tuple[float, float]:
     s = np.asarray(series, dtype=float)
     if s.size == 0:
         raise ValueError("series must be non-empty")
-    mean = float(s.mean())
-    std = float(np.sqrt(((s - mean) ** 2).mean()))
-    return mean, std
+    return float(s.mean()), float(s.std())
 
 
 def dyadic_matrix(phases: PhaseSeries) -> np.ndarray:

@@ -233,10 +233,17 @@ def _report_rows(report: SyncReport):
 
 
 def run(config: RunConfig) -> RunResult:
-    """Open the artifact bundle's files in config.out_dir, simulate, and write the bundle into them."""
+    """Open the artifact bundle's files in config.out_dir, simulate, and write the bundle into them.
+
+    A node without a phase raises ConfigError naming [nodes], and leaves the files empty.
+    """
     with contextlib.ExitStack() as stack:
         handles = [stack.enter_context(_open_output(config.out_dir, name)) for name in RUN_FILES]
-        return write_outputs(simulate(config), handles)
+        try:
+            result = simulate(config)
+        except DegenerateSignalError as exc:
+            raise ConfigError(nodes_fault(exc)) from None
+        return write_outputs(result, handles)
 
 
 def sweep(config: RunConfig) -> tuple[list[SweepCell], Path]:
@@ -244,17 +251,9 @@ def sweep(config: RunConfig) -> tuple[list[SweepCell], Path]:
     _sweep_grid(config)  # a config without [sweep] fails here, before sweep.csv is opened
     with _open_output(config.out_dir, "sweep.csv") as handle:
         cells = run_sweep(config)
-        rows = []
-        for cell in cells:
-            rows.append(
-                (
-                    cell.value1,
-                    cell.value2,
-                    None if cell.report is None else cell.report.rho_g_mean,
-                    None if cell.report is None else cell.report.rho_g_std,
-                    None if cell.report is None else cell.report.rho_e,
-                )
-            )
+        # a CellReport's fields are sweep.csv's last three columns, in order
+        rows = [(c.value1, c.value2) + ((None,) * 3 if c.report is None else dataclasses.astuple(c.report))
+                for c in cells]
         _write_csv(handle, ("param1", "param2", "rho_g_mean", "rho_g_std", "rho_E"), rows)
     return cells, Path(handle.name)
 

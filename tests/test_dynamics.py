@@ -76,11 +76,10 @@ def per_node_coupling(i, states, topology, protocol):
 
 def fresh_rhs(params, topology, protocol, entrainment):
     """rhs(t, x): the in-place network field written into a fresh (n, 2) array on each call."""
-    bind = dynamics._network_field_into(params, topology, protocol, entrainment)
-
     def rhs(t, x):
         out = np.empty_like(x)
-        bind(x, out)(np.array(entrainment.amplitude * math.sin(entrainment.frequency * t)))
+        evaluate = dynamics._network_field_into(params, topology, protocol, entrainment, x, out)
+        evaluate(np.array(entrainment.amplitude * math.sin(entrainment.frequency * t)))
         return out
 
     return rhs

@@ -149,7 +149,7 @@ class TestNormalizedNeighborLaplacian:
 
     def test_isolated_node_raises(self):
         top = graph.Topology(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
-        with pytest.raises(ValueError, match="node 2 has no neighbors"):
+        with pytest.raises(ValueError, match="node 3 has no neighbors"):
             graph.neighbor_lambda2(top)
 
     def test_normalizer_is_count_not_degree(self):

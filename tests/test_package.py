@@ -50,7 +50,8 @@ def test_every_exception_class_is_caught():
 
 def test_every_public_definition_is_named_outside_the_tests():
     # an interface that only unit tests reach is one more path to keep equal to the one that runs;
-    # the acceptance tests count, as the paper's criteria, and so does the benchmark
+    # the acceptance tests count, as the paper's criteria, and so does the benchmark.  Public
+    # methods count in private classes too, such as _Protocol.add_coupling
     modules = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
     defined = set()
     for path in modules:
@@ -64,7 +65,8 @@ def test_every_public_definition_is_named_outside_the_tests():
     trees = [ast.parse(path.read_text(encoding="utf-8")) for path in readers]
     named = _names(trees) | {node.name.split(".")[-1] for tree in trees for node in ast.walk(tree)
                              if isinstance(node, ast.alias)}
-    assert {"integrate", "Entrainment.active"} <= defined and "integrate" in named, "the scan is broken"
+    assert {"integrate", "Entrainment.active", "_Protocol.add_coupling"} <= defined, "the scan is broken"
+    assert "integrate" in named, "the scan is broken"
     assert sorted(name for name in defined if name.split(".")[-1] not in named) == []
 
 
