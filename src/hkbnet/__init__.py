@@ -9,73 +9,13 @@ Submodules:
 * bounds   -- contraction and Lyapunov coupling-strength certificates, bounds.csv's rows
 * config   -- presets, config files, the run contract, sweep cells, CLI overrides
 * runner   -- execution, sweeps, CSV emission (re-exports bounds_rows)
+
+The package itself exports only the five names of the README's library
+example; everything else is imported from the submodule that defines it.
 """
 
-from .bounds import (
-    BoundsOptions,
-    ContractionWindow,
-    QuadCertificate,
-    bounds_rows,
-    contraction_window,
-    m_bar,
-    quad_cbar_direct,
-    quad_certificate,
-    quad_epsilon_direct,
-)
-from .config import PRESET_NAMES, ConfigError, RunConfig, SweepSpec, load_config, preset_config, validate_config
-from .dynamics import (
-    CouplingProtocol,
-    DivergenceError,
-    Entrainment,
-    FullState,
-    HkbCoupling,
-    NoCoupling,
-    OscillatorParams,
-    PartialState,
-    StateExtrema,
-    Trajectory,
-    integrate,
-    state_extrema,
-)
-from .graph import (
-    SpectrumResult,
-    Topology,
-    TopologyError,
-    complete_graph,
-    laplacian,
-    neighbor_lambda2,
-    random_weighted_graph,
-    spectrum,
-)
-from .metrics import (
-    RelativePhase,
-    SyncReport,
-    agent_relative_phase,
-    agent_sync_degree,
-    compute_sync_report,
-    dyadic_matrix,
-    entrainment_index,
-    group_sync_series,
-    group_sync_summary,
-    tracking_error_norm,
-)
-from .phase import (
-    DegenerateSignalError,
-    PhaseSeries,
-    analytic_signal,
-    instantaneous_phase,
-    phases_from_trajectory,
-    wrap_phase,
-)
-from .runner import (
-    RunResult,
-    SweepCell,
-    evaluate_bounds,
-    run,
-    run_sweep,
-    simulate,
-    sweep,
-    write_outputs,
-)
+from .dynamics import FullState, OscillatorParams, integrate
+from .graph import complete_graph
+from .metrics import compute_sync_report
 
 __version__ = "0.1.0"

@@ -313,8 +313,6 @@ def _network_field_into(
     different stages share none.
     """
     n = topology.n
-    if len(params) != n:
-        raise ValueError(f"got {len(params)} parameter sets for {n} nodes")
     # one multiply by [[alpha, beta]] then one by x gives alpha*pos*pos and beta*vel*vel
     alpha_beta = np.array([[p.alpha, p.beta] for p in params])
     gamma = np.array([p.gamma for p in params])
@@ -324,8 +322,6 @@ def _network_field_into(
     factors[:, 0] = -(np.array([p.omega for p in params]) ** 2)
     bracket = factors[:, 1]
     counts = topology.neighbor_counts.astype(float)
-    if not isinstance(protocol, NoCoupling) and np.any(counts == 0.0):
-        raise ValueError("coupled dynamics need every node to have a neighbor")
     couple = protocol.bind(laplacian(topology), topology.weights, counts, x, out)
     driven = entrainment.active
     squares = np.empty((n, 2))
@@ -401,12 +397,14 @@ def integrate(
 ) -> Trajectory:
     """Classical fixed-step 4th-order Runge-Kutta integration of the network.
 
-    x0 holds node i's initial (pos, vel) in row i, shape (n, 2).  dt must
-    divide the duration (see step_count), and an active drive must keep
-    frequency * t finite (see check_drive).  Every step is stored, so the
-    sampling interval of the returned trajectory equals dt.  With
-    positions_only the trajectory records (samples, n, 1) positions, bitwise
-    the full states' [:, :, :1], and the velocities are never stored.
+    x0 holds node i's initial (pos, vel) in row i, shape (n, 2), and
+    params[i] node i's parameters; a coupled protocol needs every node to
+    have a neighbor.  dt must divide the duration (see step_count), and an
+    active drive must keep frequency * t finite (see check_drive).  Every
+    step is stored, so the sampling interval of the returned trajectory
+    equals dt.  With positions_only the trajectory records (samples, n, 1)
+    positions, bitwise the full states' [:, :, :1], and the velocities are
+    never stored.
     Deterministic: identical inputs yield identical trajectories.
     Raises DivergenceError (with the offending step index)
     when the state stops being finite or exceeds STATE_MAGNITUDE_LIMIT.
@@ -419,6 +417,10 @@ def integrate(
         raise ValueError(f"initial state has shape {x.shape}, not ({n}, 2)")
     if not np.all(np.isfinite(x)):
         raise ValueError("initial state must be finite")
+    if len(params) != n:
+        raise ValueError(f"got {len(params)} parameter sets for {n} nodes")
+    if not isinstance(protocol, NoCoupling) and np.any(topology.neighbor_counts == 0):
+        raise ValueError("coupled dynamics need every node to have a neighbor")
     kept = 1 if positions_only else 2
     states = np.empty((steps + 1, n, kept))
     states[0] = x[:, :kept]

@@ -33,9 +33,10 @@ class PhasorMean:
     """Per-node time mean of unit phasors, fed one block of samples at a time.
 
     numpy sums a C-contiguous (samples, n) array over axis 0 one row after
-    another (for n >= 2), and add sums each block's rows onto the running
-    total in that order.  So however the samples are split into blocks,
-    mean() equals np.exp(1j * theta).mean(axis=0) over all of them, bit for bit.
+    another (for n >= 2), and add adds the running total into each block's
+    first row in place before summing the block, so the samples join it in
+    that order.  So however the samples are split into blocks, mean() equals
+    np.exp(1j * theta).mean(axis=0) over all of them, bit for bit.
     """
 
     def __init__(self):
@@ -48,7 +49,7 @@ class PhasorMean:
             return
         z = _unit_phasors(theta)
         if self.total is not None:
-            z = np.concatenate((self.total[None], z))
+            z[0] += self.total
         self.total = z.sum(axis=0)
         self.samples += len(theta)
 

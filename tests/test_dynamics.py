@@ -460,6 +460,20 @@ class TestIntegrate:
             with pytest.raises(ValueError, match=rf"initial state has shape {shape}, not \(3, 2\)"):
                 integrate(ROCKING6_PARAMS[:3], top, NoCoupling(), x0, 1.0, 0.01)
 
+    def test_rejects_a_parameter_set_count_other_than_the_node_count(self):
+        top = complete_graph(3, 1.0)
+        with pytest.raises(ValueError, match=r"got 2 parameter sets for 3 nodes"):
+            integrate(ROCKING6_PARAMS[:2], top, NoCoupling(), np.zeros((3, 2)), 1.0, 0.01)
+
+    def test_isolated_node_is_rejected_only_under_coupling(self):
+        # node 3 has no neighbor: coupling divides by its count, the uncoupled field does not
+        top = Topology(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+        x0 = ROCKING6_INITIAL[:3]
+        for protocol in ALL_PROTOCOLS[1:]:
+            with pytest.raises(ValueError, match="coupled dynamics need every node to have a neighbor"):
+                integrate(ROCKING6_PARAMS[:3], top, protocol, x0, 1.0, 0.01)
+        assert integrate(ROCKING6_PARAMS[:3], top, NoCoupling(), x0, 1.0, 0.01).num_samples == 101
+
     def test_rejects_a_drive_phase_that_overflows(self):
         # frequency * t is finite up to t = 1 and overflows at the last stage time t = 2
         top = complete_graph(2, 1.0)

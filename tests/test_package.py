@@ -6,8 +6,10 @@ README's library example.
 import ast
 import builtins
 import re
+import types
 from pathlib import Path
 
+import hkbnet
 from hkbnet import bounds, config, runner
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -158,10 +160,25 @@ def test_cli_leaves_swept_fields_to_config():
     assert [text for text in texts if re.search(r"\b(protocol|entrainment|simulation)\.", text)] == []
 
 
-def test_readme_library_use_runs(capsys):
+def _readme_library_example() -> str:
+    """The code block of the README's "Library use" section."""
     readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
     section = readme[readme.index("## Library use"):]
-    exec(section.split("```python\n", 1)[1].split("```", 1)[0], {})
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_package_exports_only_the_readme_example_names():
+    # every other public name has one import path, its own module's
+    imported = {alias.name for node in ast.walk(ast.parse(_readme_library_example()))
+                if isinstance(node, ast.ImportFrom) and node.module == "hkbnet" for alias in node.names}
+    assert "integrate" in imported, "the README example's import not found; the scan is broken"
+    exported = {name for name, value in vars(hkbnet).items()
+                if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert sorted(exported) == sorted(imported)
+
+
+def test_readme_library_use_runs(capsys):
+    exec(_readme_library_example(), {})
     rho_g_mean, rho_k = capsys.readouterr().out.split(" ", 1)
     assert 0.0 <= float(rho_g_mean) <= 1.0
     assert rho_k.startswith("[")
