@@ -8,7 +8,9 @@ Submodules:
 * metrics  -- synchronization indices and the tracking-error norm
 * bounds   -- contraction and Lyapunov coupling-strength certificates, bounds.csv's rows
 * config   -- presets, config files, the run contract, sweep cells, CLI overrides
-* runner   -- execution, sweeps, CSV emission (re-exports bounds_rows)
+* runner   -- execution, sweeps, CSV emission; re-exports BoundsOptions and
+              bounds_rows from bounds, and ConfigError, RunConfig, SweepSpec,
+              load_config and preset_config from config
 
 The package itself exports only the five names of the README's library
 example; everything else is imported from the submodule that defines it.

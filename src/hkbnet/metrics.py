@@ -192,18 +192,29 @@ def tracking_error_norm(traj: Trajectory) -> np.ndarray:
     return np.sqrt(deviation.sum(axis=(1, 2)))
 
 
-def compute_sync_report(traj: Trajectory, entrainment: Entrainment = Entrainment()) -> SyncReport:
+def compute_sync_report(traj: Trajectory, entrainment: Entrainment = Entrainment(), *,
+                        reuse_positions: bool = False) -> SyncReport:
     """Run the whole metric suite on one trajectory.
 
     Entrainment indices are filled in only when the signal is active, and
-    eta only when the trajectory records velocities.
+    eta only when the trajectory records velocities.  With reuse_positions
+    the phases are written over the positions of traj, a positions
+    recording, and the report's phases share its memory; the indices are
+    bitwise as without it.  A recording with velocities raises ValueError
+    then, since eta reads the positions after the phases are taken.
     """
+    if reuse_positions and traj.has_velocities:
+        raise ValueError("reuse_positions needs a positions recording, since eta reads the positions")
     # The phases come first: taken after eta's temporaries are freed, they
     # lowered the traced peak but raised a run's peak RSS by about 0.4 MiB.
-    phases = phases_from_trajectory(traj)
+    if reuse_positions:
+        phases = phases_from_trajectory(traj, out=traj.states[:, :, 0])
+    else:
+        phases = phases_from_trajectory(traj)
     eta = tracking_error_norm(traj) if traj.has_velocities else None
     # Nothing below reads the trajectory, so the report keeps no reference to
-    # it: a caller that keeps none either frees the states here.
+    # it: a caller that keeps none either frees the states here, or only the
+    # times when the phases were written over the positions.
     del traj
     rel = agent_relative_phase(phases)
     series = group_sync_series(rel.series, rel.mean_phase)

@@ -101,9 +101,17 @@ class PhaseSeries:
         return self.phases.shape[0]
 
 
-def phases_from_trajectory(traj) -> PhaseSeries:
-    """Extract every node's phase from its position series."""
-    phases = np.empty((traj.num_samples, traj.n_nodes))
+def phases_from_trajectory(traj, out=None) -> PhaseSeries:
+    """Extract every node's phase from its position series.
+
+    The phases go into out, a (num_samples, n) float64 array, when one is
+    given.  Each node's positions are copied into its transform buffer
+    before its column of out is written, so out may be the trajectory's own
+    positions, traj.states[:, :, 0], and the phases are bitwise as with a
+    fresh array.  A node without a phase raises with the earlier nodes'
+    columns already overwritten.
+    """
+    phases = np.empty((traj.num_samples, traj.n_nodes)) if out is None else out
     for k in range(traj.n_nodes):
         try:
             phases[:, k] = instantaneous_phase(traj.states[:, k, 0])

@@ -16,8 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
-# BoundsOptions, bounds_rows, SweepSpec, load_config and preset_config are
-# re-exported: the acceptance tests and the benchmark look them up here.
+# BoundsOptions, bounds_rows, ConfigError, RunConfig, SweepSpec, load_config
+# and preset_config are re-exported: the benchmark and the unit tests look
+# them up here.
 from .bounds import BoundsOptions, bounds_rows  # noqa: F401
 from .config import ConfigError, RunConfig, SweepSpec, _sweep_grid, load_config, preset_config  # noqa: F401
 from .dynamics import DivergenceError, Trajectory, integrate, step_count
@@ -84,14 +85,16 @@ def nodes_fault(exc: DegenerateSignalError) -> str:
 def _cell_report(config: RunConfig) -> CellReport | None:
     """Simulate one sweep cell and keep its three scalars, or None if it diverges.
 
-    The cell records positions only, which is all its three scalars read.
-    The trajectory goes straight to the report, which frees it once the
-    phases are taken, and the full report goes when this returns, so no
-    cell's per-sample arrays outlive it or overlap the next cell's.
+    The cell records positions only, which is all its three scalars read,
+    and its phases are written over them.  The trajectory goes straight to
+    the report, which frees its times once the phases are taken, and the
+    full report goes when this returns, so no cell's per-sample arrays
+    outlive it or overlap the next cell's.
     """
     # No name here holds the trajectory; only the integration can diverge.
     try:
-        report = compute_sync_report(_integrate(config, positions_only=True), entrainment=config.entrainment)
+        report = compute_sync_report(_integrate(config, positions_only=True), entrainment=config.entrainment,
+                                     reuse_positions=True)
     except DivergenceError:
         return None
     return CellReport(report.rho_g_mean, report.rho_g_std, report.rho_e)

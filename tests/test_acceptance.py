@@ -12,6 +12,7 @@ import pytest
 
 from hkbnet import runner
 from hkbnet.bounds import m_bar, quad_cbar_direct, quad_epsilon_direct
+from hkbnet.config import SweepSpec, preset_config
 from hkbnet.dynamics import (
     FullState,
     HkbCoupling,
@@ -112,8 +113,8 @@ class TestCriterion5Sweeps:
     def test_full_state_sweep_trend(self):
         cs = (0.01, 0.03, 0.05, 0.08, 0.1, 0.12, 0.15, 0.2, 0.25, 0.3)
         cfg = dataclasses.replace(
-            runner.preset_config("rocking6-fsc"),
-            sweep=runner.SweepSpec(field="protocol.c", values=cs),
+            preset_config("rocking6-fsc"),
+            sweep=SweepSpec(field="protocol.c", values=cs),
         )
         cells = runner.run_sweep(cfg)
         means = [c.report.rho_g_mean for c in cells]
@@ -124,14 +125,14 @@ class TestCriterion5Sweeps:
 
     def test_velocity_coupling_dominates(self):
         values = (0.05, 0.1, 0.15, 0.2, 0.3, 0.4, 0.5)
-        base = runner.preset_config("rocking6-psc")
+        base = preset_config("rocking6-psc")
 
         def crossing(field, zero_field):
             proto = PartialState(**{field: values[0], zero_field: 0.0})
             cfg = dataclasses.replace(
                 base,
                 protocol=proto,
-                sweep=runner.SweepSpec(field=f"protocol.{field}", values=values),
+                sweep=SweepSpec(field=f"protocol.{field}", values=values),
             )
             for cell in runner.run_sweep(cfg):
                 if cell.report.rho_g_mean >= 0.8:
@@ -156,8 +157,8 @@ ENTRAINMENT_AMPS = (0.05, 0.1, 0.15, 0.2, 0.25, 0.3)
 @pytest.fixture(scope="module")
 def entrainment_grid():
     cfg = dataclasses.replace(
-        runner.preset_config("rocking6-fsc"),
-        sweep=runner.SweepSpec(
+        preset_config("rocking6-fsc"),
+        sweep=SweepSpec(
             field="entrainment.frequency",
             values=ENTRAINMENT_FREQS,
             field2="entrainment.amplitude",
@@ -302,7 +303,7 @@ class TestCriterion9Properties:
         )
 
     def test_byte_identical_reruns(self, tmp_path):
-        cfg = dataclasses.replace(runner.preset_config("validation5"), duration=3.0)
+        cfg = dataclasses.replace(preset_config("validation5"), duration=3.0)
         a = runner.run(dataclasses.replace(cfg, out_dir=str(tmp_path / "a")))
         b = runner.run(dataclasses.replace(cfg, out_dir=str(tmp_path / "b")))
         ok = all(pa.read_bytes() == pb.read_bytes() for pa, pb in zip(a.written, b.written))

@@ -8,7 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
-from hkbnet import metrics, runner
+from hkbnet import config, metrics, runner
 from hkbnet.dynamics import Entrainment, FullState, OscillatorParams, Trajectory, integrate
 from hkbnet.graph import complete_graph
 from hkbnet.metrics import (
@@ -349,6 +349,30 @@ class TestComputeSyncReport:
         for name in ("rho_k", "rho_g_series", "rho_g_mean", "rho_g_std", "rho_e_k", "rho_e", "dyadic"):
             assert np.array_equal(getattr(full, name), getattr(positions, name)), name
         assert full.dyadic is full.dyadic and len(built) == 2  # built once per report
+
+
+class TestReusePositions:
+    """A sweep cell's phases written over its own positions recording."""
+
+    def test_benchmark_sweep_cells_match_a_full_state_report_bitwise(self, entrainment_sweep_path):
+        cells = config._sweep_grid(config.load_config(entrainment_sweep_path))
+        assert len(cells) == 4
+        for _, _, cell in cells:
+            full = compute_sync_report(runner._integrate(cell), entrainment=cell.entrainment)
+            positions = runner._integrate(cell, positions_only=True)
+            report = compute_sync_report(positions, entrainment=cell.entrainment, reuse_positions=True)
+            assert np.shares_memory(report.phases.phases, positions.states)
+            assert np.array_equal(report.phases.phases, full.phases.phases)
+            assert (report.rho_g_mean, report.rho_g_std, report.rho_e) == (full.rho_g_mean, full.rho_g_std, full.rho_e)
+
+    def test_full_state_recording_raises_and_keeps_its_states(self):
+        # eta reads the positions after the phases, so they may not be overwritten
+        node, other = OscillatorParams(0.46, 1.16, 0.58, 0.31), OscillatorParams(0.25, 0.86, 0.56, 0.62)
+        traj = integrate([node, other], complete_graph(2, 1.0), FullState(0.2), [[1.0, 0.0], [-1.0, 0.1]], 5.0, 0.01)
+        before = traj.states.copy()
+        with pytest.raises(ValueError, match="positions recording"):
+            compute_sync_report(traj, reuse_positions=True)
+        assert np.array_equal(traj.states, before)
 
 
 def _with_antipodal_rows(phases, rows):

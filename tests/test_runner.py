@@ -5,7 +5,9 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -619,6 +621,23 @@ class TestSweep:
             tracemalloc.stop()
         assert peak < 3.25 * phases_bytes
 
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="before CPython 3.11 the caller's stack holds "
+                        "a call's arguments until the call returns")
+    def test_cell_peak_under_2_6_positions_recordings(self, entrainment_sweep_path):
+        # the phases go over the cell's own positions, not into a second
+        # (samples, n) array: 2.88 recordings at the peak with that array, 2.45 without
+        _, _, cell = config._sweep_grid(config.load_config(entrainment_sweep_path))[0]
+        assert cell.duration == 200.0
+        runner._cell_report(dataclasses.replace(cell, duration=1.0))  # first-call caches stay out of the peak
+        recording = (step_count(cell.duration, cell.dt) + 1) * len(cell.params) * 8
+        tracemalloc.start()
+        try:
+            assert runner._cell_report(cell) is not None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.6 * recording
+
     def test_unknown_sweep_field(self):
         # only dataclass fields are sweepable, not other attributes of the protocol;
         # the config rejects such a sweep when it is built, before any cell runs
@@ -1045,3 +1064,47 @@ class TestGoldenValues:
                 assert key in got[table], f"{table} row {key!r} missing"
                 # the benchmark's tolerance, VALUE_RTOL in perfbench/workloads.py
                 assert abs(got[table][key] - ref) <= 1e-7 * max(1.0, abs(ref)), (table, key)
+
+
+# The CSV digest pins.  The states' last bits depend on the BLAS kernel, and
+# every byte of these CSVs must not.
+DIGEST_TESTS = (
+    "tests/test_runner.py::TestRunOutputs::test_rocking6_fsc_digests",
+    "tests/test_runner.py::TestRunOutputs::test_entrainment_run_digests",
+    "tests/test_runner.py::TestRunOutputs::test_validation5_bounds_digest[bounds]",
+    "tests/test_runner.py::TestRunOutputs::test_validation5_bounds_digest[run]",
+    "tests/test_runner.py::TestSweep::test_benchmark_sweep_digest",
+)
+SANDYBRIDGE = {"OPENBLAS_CORETYPE": "Sandybridge", "OPENBLAS_NUM_THREADS": "1"}
+
+
+def _cpu_flags() -> set[str]:
+    """The CPU's feature flags as /proc/cpuinfo lists them, or none where it cannot be read."""
+    try:
+        lines = Path("/proc/cpuinfo").read_text(encoding="utf-8").splitlines()
+    except OSError:
+        return set()
+    return next((set(line.split(":", 1)[1].split()) for line in lines if line.startswith("flags")), set())
+
+
+def _product_bytes(env) -> bytes:
+    """The bytes of a seeded 20 x 20 a @ a, computed in a fresh process with env."""
+    code = ("import sys, numpy as np; a = np.random.default_rng(0).standard_normal((20, 20)); "
+            "sys.stdout.buffer.write((a @ a).tobytes())")
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True).stdout
+
+
+class TestSecondBlasKernel:
+    def test_digests_hold_under_sandybridge(self, tmp_path):
+        if "avx" not in _cpu_flags():
+            pytest.skip("the CPU lists no avx flag, so OpenBLAS's Sandybridge kernel cannot be forced")
+        inherited = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+        forced = {**os.environ, **SANDYBRIDGE}
+        if _product_bytes(inherited) == _product_bytes(forced):
+            pytest.skip("forcing OpenBLAS's Sandybridge kernel changes no bit of a 20 x 20 product here")
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", f"--basetemp={tmp_path}", *DIGEST_TESTS],
+            cwd=REPO_ROOT, env=forced, capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert f"{len(DIGEST_TESTS)} passed" in done.stdout
