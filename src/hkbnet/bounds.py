@@ -99,8 +99,8 @@ def contraction_window(
     n_nodes = len(params)
     if n_nodes < 2:
         raise ValueError("need at least two nodes")
-    if z1_max < 0.0 or z2_max < 0.0:
-        raise ValueError("state bounds must be nonnegative")
+    if not (0.0 <= z1_max < math.inf and 0.0 <= z2_max < math.inf):
+        raise ValueError("state bounds must be nonnegative and finite")
     alpha = float(np.mean([p.alpha for p in params]))
     gamma = float(np.mean([p.gamma for p in params]))
     omega = float(np.mean([p.omega for p in params]))
@@ -123,8 +123,8 @@ def m_bar(params: Sequence[OscillatorParams], pos_max: float, vel_max: float) ->
     Built from the largest |alpha|, |beta|, |omega| over the nodes and the
     given state bounds: (1 + a_M p^2 + b_M v^2) v + w_M^2 p.
     """
-    if pos_max < 0.0 or vel_max < 0.0:
-        raise ValueError("state bounds must be nonnegative")
+    if not (0.0 <= pos_max < math.inf and 0.0 <= vel_max < math.inf):
+        raise ValueError("state bounds must be nonnegative and finite")
     alpha_m = max(abs(p.alpha) for p in params)
     beta_m = max(abs(p.beta) for p in params)
     omega_m = max(abs(p.omega) for p in params)
@@ -206,8 +206,8 @@ def quad_epsilon_direct(
     Requires the side condition c * lambda2 * min(p * shape) > max(w11, w22);
     otherwise the certificate says nothing and the result is None.
     """
-    if m_bound < 0.0:
-        raise ValueError("remainder bound must be nonnegative")
+    if not 0.0 <= m_bound < math.inf:
+        raise ValueError("remainder bound must be nonnegative and finite")
     if n_nodes < 2:
         raise ValueError("need at least two nodes")
     pd, gd, w22 = _shapes(lambda2, gamma_avg, p, w11, coupling_shape, w22)

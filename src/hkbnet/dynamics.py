@@ -259,6 +259,8 @@ class Trajectory:
         states = np.asarray(self.states, dtype=float)
         if not 0.0 < self.dt < math.inf:
             raise ValueError("dt must be positive and finite")
+        if times.ndim != 1:
+            raise ValueError("times must be one-dimensional")
         if states.ndim != 3 or states.shape[2] not in (1, 2) or states.shape[0] != times.shape[0]:
             raise ValueError("states must have shape (num_samples, n, 2) or (num_samples, n, 1) matching times")
         if times.shape[0] < 1:

@@ -5,6 +5,7 @@ Eigenvalues come from numpy's symmetric solver.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -110,8 +111,8 @@ def random_weighted_graph(
         raise TopologyError(f"need n >= 2, got {n}")
     if not 0.0 <= edge_prob <= 1.0:
         raise ValueError(f"edge_prob must lie in [0, 1], got {edge_prob}")
-    if weight_lo < 0.0 or weight_hi <= 0.0 or weight_hi < weight_lo:
-        raise ValueError("weights must satisfy 0 <= weight_lo <= weight_hi, weight_hi > 0")
+    if not (0.0 <= weight_lo <= weight_hi < math.inf and weight_hi > 0.0):
+        raise ValueError("weights must satisfy 0 <= weight_lo <= weight_hi < inf, weight_hi > 0")
     rng = np.random.default_rng(seed)
     iu, ju = np.triu_indices(n, k=1)
     for _ in range(max_attempts):

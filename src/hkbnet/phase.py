@@ -101,17 +101,17 @@ class PhaseSeries:
         return self.phases.shape[0]
 
 
-def phases_from_trajectory(traj, out=None) -> PhaseSeries:
+def phases_from_trajectory(traj) -> PhaseSeries:
     """Extract every node's phase from its position series.
 
-    The phases go into out, a (num_samples, n) float64 array, when one is
-    given.  Each node's positions are copied into its transform buffer
-    before its column of out is written, so out may be the trajectory's own
-    positions, traj.states[:, :, 0], and the phases are bitwise as with a
-    fresh array.  A node without a phase raises with the earlier nodes'
-    columns already overwritten.
+    A positions recording is consumed: its phases are written over its own
+    positions, traj.states[:, :, 0], and the result shares that memory.
+    Each node's positions are copied into its transform buffer before its
+    column is written, so the phases are bitwise as in a fresh array, which
+    a recording with velocities gets, its states untouched.  A node without
+    a phase raises with the earlier nodes' columns already written.
     """
-    phases = np.empty((traj.num_samples, traj.n_nodes)) if out is None else out
+    phases = np.empty((traj.num_samples, traj.n_nodes)) if traj.has_velocities else traj.states[:, :, 0]
     for k in range(traj.n_nodes):
         try:
             phases[:, k] = instantaneous_phase(traj.states[:, k, 0])

@@ -86,15 +86,15 @@ def _cell_report(config: RunConfig) -> CellReport | None:
     """Simulate one sweep cell and keep its three scalars, or None if it diverges.
 
     The cell records positions only, which is all its three scalars read,
-    and its phases are written over them.  The trajectory goes straight to
-    the report, which frees its times once the phases are taken, and the
-    full report goes when this returns, so no cell's per-sample arrays
-    outlive it or overlap the next cell's.
+    so its report consumes the recording and writes the phases over the
+    positions.  The trajectory goes straight to the report, which frees its
+    times once the phases are taken, and the full report goes when this
+    returns, so no cell's per-sample arrays outlive it or overlap the next
+    cell's.
     """
     # No name here holds the trajectory; only the integration can diverge.
     try:
-        report = compute_sync_report(_integrate(config, positions_only=True), entrainment=config.entrainment,
-                                     reuse_positions=True)
+        report = compute_sync_report(_integrate(config, positions_only=True), entrainment=config.entrainment)
     except DivergenceError:
         return None
     return CellReport(report.rho_g_mean, report.rho_g_std, report.rho_e)

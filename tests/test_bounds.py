@@ -62,10 +62,12 @@ class TestContractionWindow:
         params = identical_nodes(4, 0.1, 1.0, 0.2, 0.3)
         assert contraction_window(params, 0.0, 1.0).c_lo == pytest.approx(0.75 * (0.09 + 0.2))
         assert contraction_window(params, 0.0, 0.0).c_lo == pytest.approx(0.75 * (0.09 + 0.2))
-        with pytest.raises(ValueError, match="state bounds must be nonnegative"):
-            contraction_window(params, -1e-12, 1.0)
-        with pytest.raises(ValueError, match="state bounds must be nonnegative"):
-            contraction_window(params, 1.0, -2.0)
+        for bad in (-1e-12, -2.0, float("nan"), float("inf")):
+            # a nan bound compares false with 0, and gave c_lo = nan, feasible = False
+            with pytest.raises(ValueError, match="state bounds must be nonnegative and finite"):
+                contraction_window(params, bad, 1.0)
+            with pytest.raises(ValueError, match="state bounds must be nonnegative and finite"):
+                contraction_window(params, 1.0, bad)
 
     def test_complete_unweighted_hypothesis(self):
         assert is_complete_unweighted(complete_graph(6))
@@ -91,8 +93,12 @@ class TestMBar:
         assert m_bar(VALIDATION5_PARAMS, 0.0, 0.0) == 0.0
 
     def test_negative_bound_raises(self):
-        with pytest.raises(ValueError, match="state bounds must be nonnegative"):
-            m_bar(VALIDATION5_PARAMS, -1.0, 1.0)
+        for bad in (-1.0, float("nan"), float("inf")):
+            # a nan bound returned nan
+            with pytest.raises(ValueError, match="state bounds must be nonnegative and finite"):
+                m_bar(VALIDATION5_PARAMS, bad, 1.0)
+            with pytest.raises(ValueError, match="state bounds must be nonnegative and finite"):
+                m_bar(VALIDATION5_PARAMS, 1.0, bad)
 
 
 class TestQuadCbar:
@@ -158,6 +164,11 @@ class TestQuadEpsilon:
         # no gap, no certificate: however large c is, the side condition says nothing
         with pytest.raises(ValueError, match="lambda2 is zero"):
             quad_epsilon_direct(1e12, 1e-9, 0.58, (0.077, 0.077), 0.001, (1.0, 1.0), 7.6, 5)
+
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+    def test_remainder_bound_must_be_nonnegative_and_finite(self, bad):
+        with pytest.raises(ValueError, match="remainder bound must be nonnegative and finite"):
+            quad_epsilon_direct(1.45, 0.4112, 0.58, (0.077, 0.077), 0.001, (1.0, 1.0), bad, 5, w22=0.045)
 
     def test_hand_evaluated_value(self):
         gap = 1.45 * 0.4112 * 0.077 - 0.045

@@ -226,6 +226,13 @@ class TestNonFiniteValues:
         with pytest.raises(ValueError, match="dt must be positive and finite"):
             Trajectory(dt=dt, times=np.arange(3) * 0.1, states=np.zeros((3, 2, 2)))
 
+    @pytest.mark.parametrize("times, samples", [(np.float64(0.0), 1), (np.zeros((1, 2)), 1), (np.zeros((2, 1)), 2)])
+    def test_trajectory_rejects_times_that_are_not_one_dimensional(self, times, samples):
+        # a 0-d times failed with an IndexError, a (1, 2) one was stored as it was,
+        # and a (2, 1) one failed in numpy's reduction over an empty difference
+        with pytest.raises(ValueError, match="times must be one-dimensional"):
+            Trajectory(dt=0.1, times=times, states=np.zeros((samples, 2, 2)))
+
 
 class TestHkbField:
     def test_origin_is_equilibrium(self):

@@ -101,6 +101,13 @@ class TestRandomWeightedGraph:
         assert np.all(top.weights >= 0.0)
         assert np.all(top.weights <= 2.0)
 
+    @pytest.mark.parametrize("lo, hi", [(-0.1, 1.0), (0.0, 0.0), (0.5, 0.1), (0.1, float("nan")),
+                                        (float("nan"), 1.0), (0.1, float("inf")), (float("inf"), float("inf"))])
+    def test_rejects_weights_outside_a_finite_range(self, lo, hi):
+        # a nan or infinite bound reached numpy's uniform, which raised OverflowError
+        with pytest.raises(ValueError, match="weights must satisfy"):
+            graph.random_weighted_graph(4, 0.5, lo, hi, seed=1)
+
     def test_generation_failure_reports_attempts(self):
         with pytest.raises(RuntimeError, match=r"no connected graph in 25 attempts \(n=3, edge_prob=0.0\)"):
             graph.random_weighted_graph(3, 0.0, 0.0, 2.0, seed=0, max_attempts=25)

@@ -21,7 +21,7 @@ from hkbnet.metrics import (
     group_sync_summary,
     tracking_error_norm,
 )
-from hkbnet.phase import DegenerateSignalError, PhaseSeries, wrap_phase
+from hkbnet.phase import DegenerateSignalError, PhaseSeries, phases_from_trajectory, wrap_phase
 
 
 def phase_series(phases, dt=0.01):
@@ -360,19 +360,28 @@ class TestReusePositions:
         for _, _, cell in cells:
             full = compute_sync_report(runner._integrate(cell), entrainment=cell.entrainment)
             positions = runner._integrate(cell, positions_only=True)
-            report = compute_sync_report(positions, entrainment=cell.entrainment, reuse_positions=True)
+            report = compute_sync_report(positions, entrainment=cell.entrainment)
             assert np.shares_memory(report.phases.phases, positions.states)
             assert np.array_equal(report.phases.phases, full.phases.phases)
             assert (report.rho_g_mean, report.rho_g_std, report.rho_e) == (full.rho_g_mean, full.rho_g_std, full.rho_e)
 
-    def test_full_state_recording_raises_and_keeps_its_states(self):
-        # eta reads the positions after the phases, so they may not be overwritten
+    def test_full_state_recording_keeps_its_states(self):
+        # eta reads the positions after the phases, so they are never overwritten
         node, other = OscillatorParams(0.46, 1.16, 0.58, 0.31), OscillatorParams(0.25, 0.86, 0.56, 0.62)
         traj = integrate([node, other], complete_graph(2, 1.0), FullState(0.2), [[1.0, 0.0], [-1.0, 0.1]], 5.0, 0.01)
         before = traj.states.copy()
-        with pytest.raises(ValueError, match="positions recording"):
-            compute_sync_report(traj, reuse_positions=True)
+        compute_sync_report(traj)
         assert np.array_equal(traj.states, before)
+
+    def test_phases_are_written_over_the_positions(self):
+        node, other = OscillatorParams(0.46, 1.16, 0.58, 0.31), OscillatorParams(0.25, 0.86, 0.56, 0.62)
+        args = ([node, other, node], complete_graph(3, 1.0), FullState(0.2), [[1.0, 0.0], [-1.0, 0.1], [0.3, 0.0]],
+                20.0, 0.01)
+        full = phases_from_trajectory(integrate(*args))
+        positions = integrate(*args, positions_only=True)
+        phases = phases_from_trajectory(positions)
+        assert np.shares_memory(phases.phases, positions.states[:, :, 0])
+        assert np.array_equal(phases.phases, full.phases)
 
 
 def _with_antipodal_rows(phases, rows):

@@ -602,27 +602,6 @@ class TestSweep:
 
     @pytest.mark.skipif(sys.version_info < (3, 11), reason="before CPython 3.11 the caller's stack holds "
                         "a call's arguments until the call returns")
-    def test_cell_peak_under_three_and_a_quarter_phase_arrays(self):
-        # the seed-3 benchmark cell records positions only and hands them straight
-        # to the report, which frees them once the phases are taken and takes the
-        # indices in sample blocks: 2.9 phase arrays at the peak, during phase
-        # extraction, against 5.5 with full states and whole-series phasor buffers
-        cell = dataclasses.replace(
-            runner.preset_config("rocking6-fsc"),
-            entrainment=Entrainment(amplitude=0.196, frequency=0.169, enabled=True),
-        )
-        runner._cell_report(dataclasses.replace(cell, duration=1.0))  # first-call caches stay out of the peak
-        phases_bytes = (step_count(cell.duration, cell.dt) + 1) * len(cell.params) * 8
-        tracemalloc.start()
-        try:
-            assert runner._cell_report(cell) is not None
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3.25 * phases_bytes
-
-    @pytest.mark.skipif(sys.version_info < (3, 11), reason="before CPython 3.11 the caller's stack holds "
-                        "a call's arguments until the call returns")
     def test_cell_peak_under_2_6_positions_recordings(self, entrainment_sweep_path):
         # the phases go over the cell's own positions, not into a second
         # (samples, n) array: 2.88 recordings at the peak with that array, 2.45 without
